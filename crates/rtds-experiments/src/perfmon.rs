@@ -85,6 +85,10 @@ pub fn record(r: &PerfReport) {
     agg.report.elided_dispatches += r.elided_dispatches;
     agg.report.elided_bg_polls += r.elided_bg_polls;
     agg.report.elided_bg_dispatches += r.elided_bg_dispatches;
+    agg.report.lanes.pushes += r.lanes.pushes;
+    agg.report.lanes.pops += r.lanes.pops;
+    agg.report.lanes.rekeys += r.lanes.rekeys;
+    agg.report.lanes.stale_discards += r.lanes.stale_discards;
     agg.report.control_epochs += r.control_epochs;
     agg.report.controller_ns += r.controller_ns;
     if let Some(a) = r.epoch_allocs {

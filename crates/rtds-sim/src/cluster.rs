@@ -23,10 +23,11 @@ use std::sync::Arc;
 
 use crate::clock::ClockConfig;
 use crate::control::{ControlAction, ControlContext, Controller, PeriodObservation};
+use crate::engine::dispatch::DispatchLane;
 use crate::engine::{DispatchEngine, FaultEngine, LoadEngine, NetEngine, TaskTable};
 use crate::ids::{NodeId, StageId, SubtaskIdx, TaskId};
 use crate::kernel::{Ev, SimKernel};
-use crate::lane::LaneRef;
+use crate::lane::{LaneRef, MAX_LANE_INDEX};
 use crate::load::LoadGenerator;
 use crate::metrics::{PeriodRecord, RunMetrics};
 use crate::net::BusConfig;
@@ -180,7 +181,7 @@ pub trait ClusterApi {
 pub struct Cluster {
     /// Pure mechanics: queue, clocks, RNG, lanes, metrics, observability.
     kernel: SimKernel,
-    /// Nodes, job slab, quantum chains, dispatch boundaries.
+    /// Nodes, job slab, per-node dispatch lanes.
     dispatch: DispatchEngine,
     /// Shared bus, in-flight/retransmit/dedup state.
     net: NetEngine,
@@ -207,6 +208,10 @@ impl Cluster {
         assert!(!config.horizon.is_zero(), "zero horizon");
         assert!(!config.sample_interval.is_zero(), "zero sample interval");
         assert!(config.max_in_flight >= 1, "max_in_flight must be >= 1");
+        assert!(
+            config.n_nodes < MAX_LANE_INDEX,
+            "at most {MAX_LANE_INDEX} nodes fit a dispatch-lane key"
+        );
         // Construction order is part of the byte-identity contract: the
         // kernel seeds the RNG and draws the clock model first (the only
         // construction-time draws), exactly as the monolith did.
@@ -252,7 +257,7 @@ impl Cluster {
                 // so tie-breaking stays bit-identical.
                 let seq = self.kernel.queue.alloc_seq();
                 self.load.polls[g].next = Some((at, seq));
-                self.kernel.lanes.push(at, seq, LaneRef::Poll(g as u32));
+                self.kernel.lanes.arm(at, seq, LaneRef::Poll(g as u32));
             } else {
                 self.kernel.queue.schedule(at, Ev::BgPoll { gen: g });
             }
@@ -300,113 +305,93 @@ impl Cluster {
             if t > horizon {
                 break;
             }
-            let (now, ev) = match lane {
-                Some(LaneRef::Chain(i)) => {
-                    let i = i as usize;
-                    let link = self.dispatch.chains[i].expect("chain link exists");
-                    if link.next_at < link.completion {
-                        // Intermediate link: rekeyed to the next link in
-                        // place — its heap entry is still the top. Then
-                        // burst: as long as the *next* link still
-                        // precedes every other pending key (queue min
-                        // and runner-up lane, neither of which moves
-                        // during an advance), fire it immediately
-                        // instead of re-entering the loop.
-                        let bound = match (queue_key, self.kernel.lanes.runner_up()) {
-                            (Some(q), Some(r)) => Some(q.min(r)),
-                            (Some(q), None) => Some(q),
-                            (None, r) => r,
-                        };
-                        self.dispatch.advance_chain(&mut self.kernel, i);
-                        while let Some(l) = self.dispatch.chains[i] {
-                            if l.next_at >= l.completion
-                                || l.next_at > horizon
-                                || bound.is_some_and(|b| (l.next_at, l.next_seq) >= b)
-                            {
-                                break;
-                            }
-                            self.dispatch.advance_chain(&mut self.kernel, i);
-                        }
-                        continue;
-                    }
-                    // The chain's final link: the lone job's completion
-                    // dispatch, fired as a direct handler call with no
-                    // heap round-trip.
-                    self.kernel.lanes.pop();
-                    self.dispatch.chains[i] = None;
-                    self.kernel.queue.advance_now(link.next_at);
-                    let node = self.dispatch.nodes[i].id;
-                    if self.dispatch.bg_ff && self.dispatch.stage_jobs[i] == 0 {
-                        // Background-only completion: the whole dispatch
-                        // round-trip leaves the event loop, not just the
-                        // heap traffic.
-                        if let Some(p) = self.kernel.perf.as_mut() {
-                            p.report.elided_bg_dispatches += 1;
-                        }
-                        self.dispatch.on_dispatch(
-                            &mut self.kernel,
-                            &mut self.tasks,
-                            &mut self.net,
-                            link.next_at,
-                            node,
-                        );
-                        continue;
-                    }
-                    (link.next_at, Ev::Dispatch { node })
-                }
-                Some(LaneRef::Poll(g)) => {
-                    // Fired without popping: everything the handler can
-                    // push keys strictly after `t`, so the entry is still
-                    // the top afterwards and is rekeyed to the next poll
-                    // (or popped, if the generator retires).
-                    self.kernel.queue.advance_now(t);
-                    self.load.on_virtual_poll(
-                        &mut self.kernel,
-                        &mut self.dispatch,
-                        &mut self.tasks,
-                        t,
-                        g as usize,
-                    );
-                    continue;
-                }
-                Some(LaneRef::Bound(i)) => {
-                    // A background-only node's slice boundary: the same
-                    // `Dispatch` the slow path pops from the heap, fired
-                    // directly through the unmodified handler — off the
-                    // event loop entirely (a live boundary implies the
-                    // node is still background-only).
-                    let i = i as usize;
-                    self.kernel.lanes.pop();
-                    self.dispatch.bg_bounds[i] = None;
-                    self.kernel.queue.advance_now(t);
-                    if let Some(p) = self.kernel.perf.as_mut() {
-                        p.report.elided_bg_dispatches += 1;
-                    }
-                    let node = self.dispatch.nodes[i].id;
-                    self.dispatch.on_dispatch(
-                        &mut self.kernel,
-                        &mut self.tasks,
-                        &mut self.net,
-                        t,
-                        node,
-                    );
-                    continue;
-                }
-                None => self.kernel.queue.pop().expect("peeked event exists"),
+            let Some(lane) = lane else {
+                let (now, ev) = self.kernel.queue.pop().expect("peeked event exists");
+                self.handle_timed(now, ev);
+                continue;
             };
-            if self.kernel.perf.is_none() {
-                self.handle(now, ev);
-            } else {
-                let kind = ev.kind_index();
-                let t0 = std::time::Instant::now();
-                self.handle(now, ev);
-                let dt = t0.elapsed().as_nanos() as u64;
-                let p = self.kernel.perf.as_mut().expect("perf enabled");
-                p.report.events[kind] += 1;
-                p.report.ns[kind] += dt;
-            }
+            // Fire in place: the entry stays at the top of the lane heap
+            // while the lane fires (everything the handler arms keys
+            // strictly later), so a re-arm of the same lane re-keys it
+            // with one sift, and `release` pops it only if the lane was
+            // not re-armed.
+            self.kernel.lanes.hold();
+            self.fire_lane(lane, t, queue_key, horizon);
+            self.kernel.lanes.release();
         }
         self.finalize(horizon);
+    }
+
+    /// [`Self::handle`], timed per event kind when perf is enabled.
+    #[inline]
+    fn handle_timed(&mut self, now: SimTime, ev: Ev) {
+        if self.kernel.perf.is_none() {
+            return self.handle(now, ev);
+        }
+        let kind = ev.kind_index();
+        let t0 = std::time::Instant::now();
+        self.handle(now, ev);
+        let dt = t0.elapsed().as_nanos() as u64;
+        let p = self.kernel.perf.as_mut().expect("perf enabled");
+        p.report.events[kind] += 1;
+        p.report.ns[kind] += dt;
+    }
+
+    /// Fires the held lane `lane`, whose key `(t, _)` is the earliest
+    /// pending work.
+    fn fire_lane(
+        &mut self,
+        lane: LaneRef,
+        t: SimTime,
+        queue_key: Option<(SimTime, u64)>,
+        horizon: SimTime,
+    ) {
+        let i = match lane {
+            LaneRef::Poll(g) => {
+                self.kernel.queue.advance_now(t);
+                self.load.on_virtual_poll(
+                    &mut self.kernel,
+                    &mut self.dispatch,
+                    &mut self.tasks,
+                    t,
+                    g as usize,
+                );
+                return;
+            }
+            LaneRef::Dispatch(i) => i as usize,
+        };
+        if let Some(DispatchLane::Chain(link)) = self.dispatch.lanes[i] {
+            if link.next_at < link.completion {
+                // Intermediate link(s), fired in a burst bounded by the
+                // queue min and the runner-up lane.
+                let bound = match (queue_key, self.kernel.lanes.runner_up()) {
+                    (Some(q), Some(r)) => Some(q.min(r)),
+                    (Some(q), None) => Some(q),
+                    (None, r) => r,
+                };
+                self.dispatch.advance_chain(&mut self.kernel, i, bound, horizon);
+                return;
+            }
+        }
+        // A boundary, or a chain's final link (the lone job's completion
+        // dispatch): the `Dispatch` the slow path pops from the heap.
+        self.dispatch.lanes[i] = None;
+        self.kernel.queue.advance_now(t);
+        let node = self.dispatch.nodes[i].id;
+        if self.dispatch.bg_ff && self.dispatch.stage_jobs[i] == 0 {
+            // Background-only node: fired directly through the unmodified
+            // handler — the whole round-trip leaves the event loop, not
+            // just the heap traffic.
+            if let Some(p) = self.kernel.perf.as_mut() {
+                p.report.elided_bg_dispatches += 1;
+            }
+            self.dispatch
+                .on_dispatch(&mut self.kernel, &mut self.tasks, &mut self.net, t, node);
+        } else {
+            // A stage job's completion is externally observable: it runs
+            // as a real `Dispatch` event, with the entry still held.
+            self.handle_timed(t, Ev::Dispatch { node });
+        }
     }
 
     /// Routes one popped event to the engine that owns its domain. The
@@ -435,26 +420,24 @@ impl Cluster {
     }
 
     /// The `(time, seq, lane)` key of the earliest live virtual lane, if
-    /// any. Stale heap entries — their lane was re-keyed or cancelled
-    /// since the push — are detected by seq mismatch (seqs are unique per
-    /// run) and discarded here.
+    /// any. Stale heap entries — their lane was cancelled out of band
+    /// since the entry was armed — are detected by seq mismatch (seqs are
+    /// unique per run) and discarded here.
     #[inline]
     fn peek_lane(&mut self) -> Option<(SimTime, u64, LaneRef)> {
         loop {
-            let e = self.kernel.lanes.peek()?;
-            let live = match e.lane {
-                LaneRef::Chain(i) => self.dispatch.chains[i as usize]
-                    .is_some_and(|l| l.next_seq == e.seq),
+            let (at, seq, lane) = self.kernel.lanes.peek()?;
+            let live = match lane {
+                LaneRef::Dispatch(i) => self.dispatch.lanes[i as usize]
+                    .is_some_and(|l| l.key().1 == seq),
                 LaneRef::Poll(g) => self.load.polls[g as usize]
                     .next
-                    .is_some_and(|(_, s)| s == e.seq),
-                LaneRef::Bound(i) => self.dispatch.bg_bounds[i as usize]
-                    .is_some_and(|(_, s)| s == e.seq),
+                    .is_some_and(|(_, s)| s == seq),
             };
             if live {
-                return Some((e.at, e.seq, e.lane));
+                return Some((at, seq, lane));
             }
-            self.kernel.lanes.pop();
+            self.kernel.lanes.discard_top();
         }
     }
 
@@ -718,6 +701,10 @@ impl ClusterApi for Cluster {
         if let Err(e) = gen.validate() {
             panic!("invalid load generator config: {e}");
         }
+        assert!(
+            self.load.gens.len() < MAX_LANE_INDEX,
+            "at most {MAX_LANE_INDEX} load generators fit a poll-lane key"
+        );
         self.load.gens.push(gen);
         self.load.polls.push(crate::engine::load::PollLane::default());
     }
@@ -763,6 +750,7 @@ impl ClusterApi for Cluster {
         self.run_to_horizon();
         let perf = self.kernel.perf.take().map(|mut p| {
             p.report.queue = self.kernel.queue.stats();
+            p.report.lanes = self.kernel.lanes.stats();
             p.report.wall_ns = p
                 .run_started
                 .map(|s| s.elapsed().as_nanos() as u64)

@@ -760,6 +760,43 @@ fn bg_fast_path_is_byte_identical_to_slow_path() {
 }
 
 #[test]
+fn lane_counters_repeat_exactly_across_identical_runs() {
+    // Lane-heap operations are deterministic work counters: two runs of
+    // the same config must count the same pushes, pops, re-keys and
+    // stale discards. Stage admissions onto background nodes and a
+    // crash–restart exercise every kind of operation.
+    let run = || {
+        let mut cl = Cluster::new(config(8));
+        cl.enable_perf(None);
+        cl.add_task(
+            tiny_task(&[(2.0, false, 0), (3.0, false, 1)]),
+            Box::new(|i| 300 + 40 * i),
+        );
+        for n in 0..4u32 {
+            cl.add_load(Box::new(crate::load::PoissonLoad::with_utilization(
+                crate::ids::LoadGenId(n),
+                NodeId(n),
+                0.5,
+                SimDuration::from_millis(2),
+            )));
+        }
+        cl.crash_node_at(NodeId(1), SimTime::from_millis(3_100), Some(SimDuration::from_secs(1)));
+        cl.run().perf.expect("perf enabled")
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.lanes, b.lanes);
+    assert_eq!(a.lane_firings(), b.lane_firings());
+    let l = a.lanes;
+    assert!(l.pushes > 0 && l.rekeys > 0 && l.stale_discards > 0, "{l:?}");
+    assert!(l.pops <= l.pushes, "an entry is popped at most once: {l:?}");
+    assert!(
+        l.pushes + l.pops < a.lane_firings(),
+        "fired lanes re-key in place rather than pop + push: {l:?}, {} firings",
+        a.lane_firings()
+    );
+}
+
+#[test]
 #[should_panic(expected = "invalid load generator config")]
 fn add_load_validates_generator_configs() {
     // A custom generator whose config slipped past any constructor

@@ -1,13 +1,14 @@
-//! Node scheduling: CPU dispatch, the job slab, and the virtual quantum
-//! chains / boundary lanes of the fast path.
+//! Node scheduling: CPU dispatch, the job slab, and the per-node virtual
+//! dispatch lanes of the fast path.
 //!
 //! The [`DispatchEngine`] owns the processor nodes and every live job.
 //! It admits work (from stage starts, message deliveries, and background
 //! polls), drives slice-boundary dispatches, and carries the elided
-//! dispatch state of the fast path: per-node [`DispatchChain`]s for lone
-//! jobs and `bg_bounds` for background-only nodes. All `(time, seq)`
-//! allocation happens at the exact program points where the slow path
-//! would `schedule`, which is what keeps the two modes byte-identical.
+//! dispatch state of the fast path: one [`DispatchLane`] per node, either
+//! the quantum chain of a lone job or the slice boundary of a
+//! background-only node. All `(time, seq)` allocation happens at the
+//! exact program points where the slow path would `schedule`, which is
+//! what keeps the two modes byte-identical.
 
 use crate::engine::net::NetEngine;
 use crate::engine::tasks::TaskTable;
@@ -20,7 +21,7 @@ use crate::sched::SchedulerKind;
 use crate::time::{SimDuration, SimTime};
 
 /// The elided continuation of a lone running job (see
-/// [`DispatchEngine::chains`]).
+/// [`DispatchLane::Chain`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DispatchChain {
     /// Time of the next (elided) quantum-boundary dispatch.
@@ -33,6 +34,43 @@ pub(crate) struct DispatchChain {
     pub completion: SimTime,
     /// The node's scheduling quantum (chains only exist under a quantum).
     pub quantum: SimDuration,
+}
+
+/// A node's elided next `Dispatch`: a key carried on the lane heap
+/// instead of an event in the queue. A node has at most one, so "a node
+/// never has both a chain and a boundary" holds by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DispatchLane {
+    /// A lone job spanning several quanta: every intermediate
+    /// per-quantum `Dispatch` is a state no-op — it serves one quantum,
+    /// requeues into an empty queue, picks the same job back, and
+    /// schedules the next slice. Those events are elided; the chain
+    /// tracks the `(time, seq)` key the *next* one would have carried,
+    /// with the seq allocated at the exact point the real event would
+    /// have been scheduled, so same-time tie-breaking is bit-identical to
+    /// the unelided execution (see
+    /// [`crate::event::EventQueue::alloc_seq`]).
+    Chain(DispatchChain),
+    /// Fast path, background-only node: the slice-end `Dispatch` has no
+    /// external observer, so it is carried here and fired as a direct
+    /// handler call.
+    Bound {
+        /// When the slice ends.
+        at: SimTime,
+        /// The sequence number reserved for the slice-end dispatch.
+        seq: u64,
+    },
+}
+
+impl DispatchLane {
+    /// The `(time, seq)` key of the lane's next firing.
+    #[inline]
+    pub fn key(&self) -> (SimTime, u64) {
+        match *self {
+            DispatchLane::Chain(c) => (c.next_at, c.next_seq),
+            DispatchLane::Bound { at, seq } => (at, seq),
+        }
+    }
 }
 
 /// CPU-side state and behavior: nodes, the job slab, and elided dispatch.
@@ -51,26 +89,12 @@ pub(crate) struct DispatchEngine {
     /// running. Zero means every job on the node is background load and
     /// its dispatch boundaries are eligible for elision.
     pub stage_jobs: Vec<u32>,
-    /// Per-node virtual dispatch chains: when a node runs a *lone* job
-    /// (empty ready queue) spanning several quanta, every intermediate
-    /// per-quantum `Dispatch` is a state no-op — it serves one quantum,
-    /// requeues into an empty queue, picks the same job back, and
-    /// schedules the next slice. Those events are elided from the heap;
-    /// this chain tracks the `(time, seq)` key the *next* one would have
-    /// carried, with the seq allocated at the exact point the real event
-    /// would have been scheduled, so same-time tie-breaking is
-    /// bit-identical to the unelided execution (see
-    /// [`crate::event::EventQueue::alloc_seq`]). An arrival at the node
-    /// re-materializes the pending link as a real truncated dispatch.
-    pub chains: Vec<Option<DispatchChain>>,
-    /// Per-node elided dispatch boundary, used when the fast path is on
-    /// and the node runs *only* background jobs: the slice-end `Dispatch`
-    /// is carried here (key only, no heap event) and fired as a direct
-    /// handler call. A stage admission re-materializes it via
-    /// [`crate::event::EventQueue::schedule_at_seq`] in its reserved
-    /// tie-break slot. Invariant: a node never has both a chain and a
-    /// boundary.
-    pub bg_bounds: Vec<Option<(SimTime, u64)>>,
+    /// Per-node elided dispatch (see [`DispatchLane`]), keyed on the
+    /// lane heap as [`LaneRef::Dispatch`]. An arrival at a chained node
+    /// truncates the chain: to a boundary under the same key if the node
+    /// stays background-only, else to a real `Dispatch` in the queue
+    /// ([`Self::materialize_lane`]).
+    pub lanes: Vec<Option<DispatchLane>>,
     /// Cached `config.bg_fast_path`.
     pub bg_ff: bool,
 }
@@ -86,8 +110,7 @@ impl DispatchEngine {
             jobs: Vec::new(),
             free_jobs: Vec::new(),
             stage_jobs: vec![0; n_nodes],
-            chains: vec![None; n_nodes],
-            bg_bounds: vec![None; n_nodes],
+            lanes: vec![None; n_nodes],
             bg_ff,
         }
     }
@@ -129,14 +152,13 @@ impl DispatchEngine {
         if self.bg_ff && self.stage_jobs[node.index()] == 0 {
             // Still background-only: the running job (if chained) is no
             // longer alone, but its truncated slice boundary can stay
-            // virtual — same key, no heap event.
-            self.truncate_chain_to_bound(k, node);
+            // virtual — same key, same heap entry.
+            self.truncate_chain_to_bound(node);
         } else {
-            // A stage job makes the node externally consequential: any
+            // A stage job makes the node externally consequential: an
             // elided boundary or chain link re-materializes as a real
             // event in its reserved tie-break slot.
-            self.materialize_bound(k, node);
-            self.truncate_chain(k, node);
+            self.materialize_lane(k, node);
         }
         self.nodes[node.index()].sched.enqueue(id, priority);
         self.try_dispatch(k, now, node);
@@ -156,35 +178,41 @@ impl DispatchEngine {
         job
     }
 
-    /// Re-materializes a node's pending elided dispatch as a real event,
-    /// in its reserved tie-break position: another job arrived, so
-    /// round-robin interleaving must resume at the next quantum boundary
-    /// exactly as it would have without elision.
-    pub fn truncate_chain(&mut self, k: &mut SimKernel, node: NodeId) {
-        if let Some(link) = self.chains[node.index()].take() {
-            let h = k
-                .queue
-                .schedule_at_seq(link.next_at, link.next_seq, Ev::Dispatch { node });
+    /// Re-materializes a node's elided dispatch as a real `Dispatch` in
+    /// its reserved tie-break slot: another job arrived at a chained node
+    /// (round-robin interleaving must resume at the next quantum boundary
+    /// exactly as it would have without elision), or a stage job arrived
+    /// at a background-only node (its scheduling is externally observable
+    /// from here on and runs on real events). The lane's heap entry goes
+    /// stale.
+    pub fn materialize_lane(&mut self, k: &mut SimKernel, node: NodeId) {
+        if let Some(lane) = self.lanes[node.index()].take() {
+            let (at, seq) = lane.key();
+            let h = k.queue.schedule_at_seq(at, seq, Ev::Dispatch { node });
             let r = self.nodes[node.index()]
                 .running
                 .as_mut()
-                .expect("chained node has a running job");
-            r.slice_end = link.next_at;
+                .expect("a node with a dispatch lane has a running job");
+            debug_assert!(
+                matches!(lane, DispatchLane::Chain(_)) || r.slice_end == at,
+                "boundary key drifted from the running slice"
+            );
+            r.slice_end = at;
             r.dispatch_handle = Some(h);
         }
     }
 
-    /// Like [`Self::truncate_chain`], but the truncated slice boundary
-    /// stays virtual: on a background-only node the dispatch at
-    /// `link.next_at` has no external observer, so its `(time, seq)` key
-    /// moves from the chain to the boundary lane instead of the heap.
-    /// The chain's heap entry goes stale; the key is unchanged, so event
-    /// order — and hence every RNG draw and output byte — is too.
-    pub fn truncate_chain_to_bound(&mut self, k: &mut SimKernel, node: NodeId) {
-        if let Some(link) = self.chains[node.index()].take() {
-            self.bg_bounds[node.index()] = Some((link.next_at, link.next_seq));
-            k.lanes
-                .push(link.next_at, link.next_seq, LaneRef::Bound(node.index() as u32));
+    /// Truncates a chain to its pending link, which stays virtual as the
+    /// node's boundary: on a background-only node the dispatch at
+    /// `link.next_at` has no external observer. The key — and so the
+    /// heap entry — is unchanged, so event order, and hence every RNG
+    /// draw and output byte, is too.
+    pub fn truncate_chain_to_bound(&mut self, node: NodeId) {
+        if let Some(DispatchLane::Chain(link)) = self.lanes[node.index()] {
+            self.lanes[node.index()] = Some(DispatchLane::Bound {
+                at: link.next_at,
+                seq: link.next_seq,
+            });
             let r = self.nodes[node.index()]
                 .running
                 .as_mut()
@@ -194,46 +222,48 @@ impl DispatchEngine {
         }
     }
 
-    /// Re-materializes a node's elided background slice boundary as a
-    /// real `Dispatch` in its reserved tie-break slot: a stage job was
-    /// admitted, so from here on the node's scheduling is externally
-    /// observable and runs on real events.
-    pub fn materialize_bound(&mut self, k: &mut SimKernel, node: NodeId) {
-        if let Some((at, seq)) = self.bg_bounds[node.index()].take() {
-            let h = k.queue.schedule_at_seq(at, seq, Ev::Dispatch { node });
-            let r = self.nodes[node.index()]
-                .running
-                .as_mut()
-                .expect("bounded node has a running job");
-            debug_assert_eq!(r.slice_end, at, "boundary key drifted from the running slice");
-            r.dispatch_handle = Some(h);
-        }
-    }
-
-    /// Fires one elided intermediate dispatch. For the lone job this is a
-    /// state no-op (serve one quantum, requeue into an empty queue, pick
-    /// itself back), so only its bookkeeping is replayed: the dispatch
-    /// that handler would have scheduled takes the next sequence number,
-    /// now. The chain's last link — the job's completion, which has real
+    /// Fires node `i`'s elided intermediate dispatches, starting at its
+    /// chain's pending link. For the lone job each is a state no-op
+    /// (serve one quantum, requeue into an empty queue, pick itself
+    /// back), so only its bookkeeping is replayed: the dispatch that
+    /// handler would have scheduled takes the next sequence number, now.
+    /// The chain's last link — the job's completion, which has real
     /// effects — keeps `next_at == completion` and is fired by the run
-    /// loop as a direct handler call, never touching the heap.
-    pub fn advance_chain(&mut self, k: &mut SimKernel, i: usize) {
-        let link = self.chains[i].expect("chain link exists");
-        debug_assert!(link.next_at < link.completion, "final link fired as intermediate");
-        k.queue.advance_now(link.next_at);
-        let next = (link.next_at + link.quantum).min(link.completion);
-        let next_seq = k.queue.alloc_seq();
-        self.chains[i] = Some(DispatchChain {
-            next_at: next,
-            next_seq,
-            ..link
-        });
-        // The fired link's entry is still the heap top (the run loop
-        // peeks, it does not pop): rekey it to the next link in place.
-        k.lanes
-            .rekey_top(link.next_seq, next, next_seq, LaneRef::Chain(i as u32));
+    /// loop as a direct handler call, never touching the queue.
+    ///
+    /// Burst: firing continues while the next link is intermediate,
+    /// within `horizon`, and precedes `bound`, the earliest other pending
+    /// key (no advance moves it). The caller holds the chain's lane entry
+    /// at the heap top; it is re-keyed once, to the link the burst
+    /// stopped at.
+    pub fn advance_chain(
+        &mut self,
+        k: &mut SimKernel,
+        i: usize,
+        bound: Option<(SimTime, u64)>,
+        horizon: SimTime,
+    ) {
+        let Some(DispatchLane::Chain(mut link)) = self.lanes[i] else {
+            panic!("node {i} has no chain to advance");
+        };
+        let mut fired = 0;
+        loop {
+            debug_assert!(link.next_at < link.completion, "final link fired as intermediate");
+            k.queue.advance_now(link.next_at);
+            link.next_at = (link.next_at + link.quantum).min(link.completion);
+            link.next_seq = k.queue.alloc_seq();
+            fired += 1;
+            if link.next_at >= link.completion
+                || link.next_at > horizon
+                || bound.is_some_and(|b| (link.next_at, link.next_seq) >= b)
+            {
+                break;
+            }
+        }
+        self.lanes[i] = Some(DispatchLane::Chain(link));
+        k.lanes.arm(link.next_at, link.next_seq, LaneRef::Dispatch(i as u32));
         if let Some(p) = k.perf.as_mut() {
-            p.report.elided_dispatches += 1;
+            p.report.elided_dispatches += fired;
         }
     }
 
@@ -273,6 +303,8 @@ impl DispatchEngine {
     /// Picks and starts the next job on an idle node, arming either a
     /// real slice-boundary `Dispatch`, a virtual chain (lone multi-quantum
     /// job), or a virtual boundary (background-only node, fast path).
+    /// When the node's own lane is firing (held at the heap top), arming
+    /// either virtual lane re-keys that entry in place.
     pub fn try_dispatch(&mut self, k: &mut SimKernel, now: SimTime, node: NodeId) {
         let (jid, lone, quantum) = {
             let n = &mut self.nodes[node.index()];
@@ -306,13 +338,13 @@ impl DispatchEngine {
                 let completion = now + remaining;
                 let next_at = now + q;
                 let next_seq = k.queue.alloc_seq();
-                self.chains[node.index()] = Some(DispatchChain {
+                self.lanes[node.index()] = Some(DispatchLane::Chain(DispatchChain {
                     next_at,
                     next_seq,
                     completion,
                     quantum: q,
-                });
-                k.lanes.push(next_at, next_seq, LaneRef::Chain(node.index() as u32));
+                }));
+                k.lanes.arm(next_at, next_seq, LaneRef::Dispatch(node.index() as u32));
                 (completion, None)
             }
             Some(q) => {
@@ -354,8 +386,8 @@ impl DispatchEngine {
         node: NodeId,
     ) -> Option<crate::event::EventHandle> {
         let seq = k.queue.alloc_seq();
-        self.bg_bounds[node.index()] = Some((end, seq));
-        k.lanes.push(end, seq, LaneRef::Bound(node.index() as u32));
+        self.lanes[node.index()] = Some(DispatchLane::Bound { at: end, seq });
+        k.lanes.arm(end, seq, LaneRef::Dispatch(node.index() as u32));
         None
     }
 }

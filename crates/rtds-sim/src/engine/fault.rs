@@ -47,9 +47,8 @@ impl FaultEngine {
         dispatch.nodes[node.index()].alive = false;
         k.record_trace(now, TraceEvent::NodeFailed { node });
         let mut lost: Vec<JobId> = Vec::new();
-        // Virtual lanes die with the node; their heap entries go stale.
-        dispatch.chains[node.index()] = None;
-        dispatch.bg_bounds[node.index()] = None;
+        // The node's dispatch lane dies with it; its heap entry goes stale.
+        dispatch.lanes[node.index()] = None;
         if let Some(running) = dispatch.nodes[node.index()].running.take() {
             if let Some(h) = running.dispatch_handle {
                 k.queue.cancel(h);
@@ -206,7 +205,7 @@ mod tests {
         assert!(dispatch.nodes[0].running.is_some());
         fault.kill_node(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(1), NodeId(0));
         assert!(dispatch.nodes[0].running.is_none());
-        assert!(dispatch.chains[0].is_none() && dispatch.bg_bounds[0].is_none());
+        assert!(dispatch.lanes[0].is_none());
         assert_eq!(
             dispatch.jobs.iter().filter(|j| j.is_some()).count(),
             0,
@@ -234,8 +233,7 @@ mod tests {
         let (at, seq) = load.polls[0].next.expect("poll lane re-armed");
         assert_eq!(at, back);
         let top = k.lanes.peek().expect("lane heap entry pushed");
-        assert_eq!((top.at, top.seq), (at, seq));
-        assert!(matches!(top.lane, LaneRef::Poll(0)));
+        assert_eq!(top, (at, seq, LaneRef::Poll(0)));
     }
 
     #[test]

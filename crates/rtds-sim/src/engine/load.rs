@@ -60,11 +60,10 @@ impl LoadEngine {
     /// reserved instead of scheduled. The seq allocation sits at the
     /// exact program point of the slow path's `schedule` — after the
     /// admission — so tie-breaking is bit-identical.
-    /// Fires an elided poll whose lane entry is still at the top of the
-    /// lane heap (the run loop peeks but does not pop). On re-arm the
-    /// entry is rekeyed in place — one sift instead of a pop + push;
-    /// when the generator retires (dormant or past the horizon) the
-    /// entry is popped.
+    ///
+    /// The run loop holds the poll's lane entry at the heap top while
+    /// this fires, so a re-arm re-keys it in place; a generator that
+    /// retires (dormant or past the horizon) leaves it to be popped.
     pub fn on_virtual_poll(
         &mut self,
         k: &mut SimKernel,
@@ -73,17 +72,11 @@ impl LoadEngine {
         now: SimTime,
         gen: usize,
     ) {
-        let (_, prev_seq) = self.polls[gen].next.take().expect("poll lane is armed");
-        match self.poll_generator(k, dispatch, tasks, now, gen) {
-            Some(next_at) => {
-                let seq = k.queue.alloc_seq();
-                self.polls[gen].next = Some((next_at, seq));
-                k.lanes
-                    .rekey_top(prev_seq, next_at, seq, LaneRef::Poll(gen as u32));
-            }
-            None => {
-                k.lanes.pop();
-            }
+        self.polls[gen].next.take().expect("poll lane is armed");
+        if let Some(next_at) = self.poll_generator(k, dispatch, tasks, now, gen) {
+            let seq = k.queue.alloc_seq();
+            self.polls[gen].next = Some((next_at, seq));
+            k.lanes.arm(next_at, seq, LaneRef::Poll(gen as u32));
         }
         if let Some(p) = k.perf.as_mut() {
             p.report.elided_bg_polls += 1;
@@ -139,7 +132,7 @@ impl LoadEngine {
             if k.config.bg_fast_path {
                 let seq = k.queue.alloc_seq();
                 self.polls[g].next = Some((now, seq));
-                k.lanes.push(now, seq, LaneRef::Poll(g as u32));
+                k.lanes.arm(now, seq, LaneRef::Poll(g as u32));
             } else {
                 k.queue.schedule(now, Ev::BgPoll { gen: g });
             }

@@ -8,7 +8,7 @@
 //!
 //! | component                  | owns                                         |
 //! |----------------------------|----------------------------------------------|
-//! | [`DispatchEngine`]         | nodes, job slab, quantum chains, boundaries  |
+//! | [`DispatchEngine`]         | nodes, job slab, one dispatch lane per node  |
 //! | [`NetEngine`]              | shared bus, in-flight/retx/dedup state       |
 //! | [`FaultEngine`]            | node death, crash teardown, restart re-arm   |
 //! | [`LoadEngine`]             | background generators and their poll lanes   |

@@ -126,7 +126,8 @@ pub(crate) struct SimKernel {
     /// Master RNG; all stochastic draws flow through here in a fixed
     /// program order (the byte-identity contract).
     pub rng: SimRng,
-    /// Lazy min-heap over all virtual lanes (chains, polls, boundaries).
+    /// Lazy min-heap over all virtual lanes (per-node dispatch lanes,
+    /// per-generator poll lanes).
     pub lanes: LaneHeap,
     /// Optional structured trace.
     pub trace: Option<TraceSink>,

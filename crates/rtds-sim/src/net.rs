@@ -311,12 +311,6 @@ impl BusConfig {
             _ => base,
         }
     }
-
-    /// True when any failure-realism feature (loss, duplication,
-    /// retransmission, jamming) is enabled.
-    pub fn has_failure_realism(&self) -> bool {
-        self.drop_prob > 0.0 || self.dup_prob > 0.0 || self.retx_timeout_us > 0 || self.jam.is_some()
-    }
 }
 
 /// The shared Ethernet segment.

@@ -36,6 +36,23 @@ pub const PHASE_NAMES: [&str; N_PHASES] = [
     "retx_timeout",
 ];
 
+/// Lane-heap operation counters (see the `LaneHeap` of the virtual-lane
+/// fast path). Every entry is pushed once and popped at most once; a
+/// firing lane that re-arms itself re-keys its entry in place instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneStats {
+    /// Entries pushed (a lane armed while its entry was not firing).
+    pub pushes: u64,
+    /// Entries popped: fired lanes that did not re-arm, plus
+    /// [`Self::stale_discards`].
+    pub pops: u64,
+    /// Entries re-keyed in place by a firing lane re-arming itself.
+    pub rekeys: u64,
+    /// Popped entries whose lane had been cancelled out of band (a
+    /// materialized or torn-down dispatch lane).
+    pub stale_discards: u64,
+}
+
 /// Everything measured by an instrumented run.
 #[derive(Debug, Clone, Default)]
 pub struct PerfReport {
@@ -60,6 +77,8 @@ pub struct PerfReport {
     /// Slice-boundary `Dispatch` events of background-only nodes elided
     /// by the background-load fast path (fired as direct handler calls).
     pub elided_bg_dispatches: u64,
+    /// Lane-heap operation counters.
+    pub lanes: LaneStats,
     /// Heap allocations observed across all control epochs, if an
     /// allocation probe was supplied.
     pub epoch_allocs: Option<u64>,
@@ -71,6 +90,12 @@ impl PerfReport {
     /// Total events handled.
     pub fn total_events(&self) -> u64 {
         self.events.iter().sum()
+    }
+
+    /// Virtual-lane firings: elided chain advances, polls and background
+    /// dispatches.
+    pub fn lane_firings(&self) -> u64 {
+        self.elided_dispatches + self.elided_bg_polls + self.elided_bg_dispatches
     }
 
     /// Mean heap allocations per control epoch, if probed.
@@ -135,6 +160,18 @@ impl PerfReport {
             "  queue: scheduled={} popped={} cancelled={} compactions={} heap_high_water={}",
             q.scheduled, q.popped, q.cancelled, q.compactions, q.heap_high_water
         );
+        let l = &self.lanes;
+        if l.pushes + l.rekeys > 0 {
+            let _ = writeln!(
+                out,
+                "  lanes: pushes={} pops={} rekeys={} stale={} push+pop/firing={:.3}",
+                l.pushes,
+                l.pops,
+                l.rekeys,
+                l.stale_discards,
+                (l.pushes + l.pops) as f64 / self.lane_firings().max(1) as f64
+            );
+        }
         let _ = write!(
             out,
             "  control: epochs={} controller_ms={:.2}",
@@ -206,6 +243,19 @@ mod tests {
         assert!(s.contains("bg_poll-elided"), "missing bg poll line:\n{s}");
         assert!(s.contains("42"));
         assert!(s.contains("bg_disp-elided"), "missing bg dispatch line:\n{s}");
+    }
+
+    #[test]
+    fn render_shows_lane_counters_when_the_heap_was_used() {
+        let mut r = PerfReport::default();
+        assert!(!r.render().contains("lanes:"));
+        r.lanes = LaneStats { pushes: 3, pops: 2, rekeys: 5, stale_discards: 1 };
+        r.elided_bg_polls = 10;
+        let s = r.render();
+        assert!(
+            s.contains("lanes: pushes=3 pops=2 rekeys=5 stale=1 push+pop/firing=0.500"),
+            "missing lane line:\n{s}"
+        );
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Deterministic random-number support.
 //!
-//! The simulator is fully deterministic given a seed: every stochastic
-//! component (background load, network jitter, clock drift) draws from a
-//! [`SimRng`] derived from the run's master seed via a stable stream id, so
-//! adding a new consumer of randomness does not perturb the draws seen by
-//! existing ones.
+//! The simulator is fully deterministic given a seed. [`SimRng`] can
+//! derive independent streams from a master seed and a stream id, but a
+//! cluster uses only one: the kernel creates `from_seed_stream(seed, 0)`
+//! and every stochastic consumer — clock drift, release jitter, clock
+//! sync, bus backoff, the drop/duplicate lotteries and every background
+//! load generator — draws from that shared stream in program order. So
+//! adding a consumer, or changing how many draws one makes, perturbs
+//! the draws seen by every consumer after it, and the byte-identity
+//! contract pins the program points of all draws (ROADMAP item 2 is the
+//! plan to give each consumer its own stream).
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;

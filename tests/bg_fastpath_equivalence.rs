@@ -104,3 +104,38 @@ fn fast_path_matches_slow_path_without_ambient_load() {
     let off = run_scenario(&base(false), &predictor);
     assert_eq!(observables(&on), observables(&off));
 }
+
+/// A pure ambient-load cluster shaped like `rtds-bench`'s
+/// `run_large_cluster` (60 % Poisson load of 2 ms mean jobs on every
+/// node, no task), on a 2 s horizon. Its deep lane heaps — one dispatch
+/// lane and one poll lane per node — are what the lane layer is built
+/// for and what the 6-node scenarios above never reach.
+fn ambient_cluster_metrics(n_nodes: usize, seed: u64, bg_fast_path: bool) -> String {
+    use rtds_sim::prelude::*;
+    let mut cfg = ClusterConfig::paper_baseline(seed, SimDuration::from_secs(2));
+    cfg.n_nodes = n_nodes;
+    cfg.bg_fast_path = bg_fast_path;
+    let mut cluster = Cluster::new(cfg);
+    for n in 0..n_nodes {
+        cluster.add_load(Box::new(PoissonLoad::with_utilization(
+            LoadGenId(n as u32),
+            NodeId(n as u32),
+            0.60,
+            SimDuration::from_millis(2),
+        )));
+    }
+    format!("{:?}", cluster.run().metrics)
+}
+
+#[test]
+fn fast_path_matches_slow_path_on_large_ambient_clusters() {
+    for n_nodes in [16, 64] {
+        for seed in [0xC1_05E ^ n_nodes as u64, 0x5EED] {
+            assert_eq!(
+                ambient_cluster_metrics(n_nodes, seed, true),
+                ambient_cluster_metrics(n_nodes, seed, false),
+                "fast path diverged: {n_nodes} nodes, seed {seed:#x}",
+            );
+        }
+    }
+}
