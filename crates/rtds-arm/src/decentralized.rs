@@ -28,10 +28,11 @@ use rtds_sim::ids::{NodeId, SubtaskIdx, TaskId};
 use rtds_sim::time::SimDuration;
 
 use crate::config::ArmConfig;
-use crate::eqf::{assign_deadlines, try_assign_deadlines, DeadlineAssignment};
+use crate::eqf::{try_assign_deadlines, uniform_assignment, DeadlineAssignment};
+use crate::manager::{allocation_utils, surviving_replicas};
 use crate::monitor::{assess_stage, SlackTracker};
 use crate::nonpredictive::shutdown_a_replica;
-use crate::predictive::{replicate_subtask_with, ReplicateFailure, ReplicationRequest};
+use crate::predictive::{replicate_subtask, ReplicateFailure, ReplicationRequest};
 use crate::predictor::Predictor;
 
 /// Decentralized per-stage management with stale state dissemination.
@@ -83,30 +84,22 @@ impl DecentralizedManager {
             self.cfg.u_init_pct,
             self.cfg.d_init_tracks,
         );
-        let n = self.predictor.n_stages();
-        let a: DeadlineAssignment = try_assign_deadlines(
-            &exec,
-            &comm,
-            ctx.deadlines[self.task.index()],
-            self.cfg.eqf,
-        )
-        .unwrap_or_else(|_| {
-            // Degenerate initial estimates must not crash an agent; fall
-            // back to a uniform split of the end-to-end deadline.
-            assign_deadlines(
-                &vec![1.0; n],
-                &vec![1.0; n.saturating_sub(1)],
-                ctx.deadlines[self.task.index()],
-                self.cfg.eqf,
-            )
-        });
+        let deadline = ctx.deadlines[self.task.index()];
+        // Degenerate initial estimates must not crash an agent; fall back
+        // to a uniform split of the end-to-end deadline.
+        let a: DeadlineAssignment = try_assign_deadlines(&exec, &comm, deadline, self.cfg.eqf)
+            .unwrap_or_else(|_| {
+                uniform_assignment(self.predictor.n_stages(), deadline, self.cfg.eqf)
+            });
         (0..self.predictor.n_stages())
             .map(|j| a.stage_budget(j))
             .collect()
     }
 
     /// The utilization snapshot an agent sees: `staleness` periods old
-    /// (clamped to the oldest retained), with dead nodes masked.
+    /// (clamped to the oldest retained), masked for allocation like the
+    /// central manager's view (dead nodes pessimal, cold nodes at the
+    /// prior — stale snapshots are even staler for a restarted node).
     fn stale_utils(&self, ctx: &ControlContext) -> Vec<f64> {
         let snapshot = if self.staleness == 0 || self.util_history.len() <= 1 {
             &ctx.node_util_pct
@@ -114,22 +107,7 @@ impl DecentralizedManager {
             let idx = self.util_history.len().saturating_sub(1 + self.staleness);
             &self.util_history[idx.min(self.util_history.len() - 1)]
         };
-        snapshot
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| {
-                if !ctx.alive[i] {
-                    1e6
-                } else if ctx.cold[i] {
-                    // A restarted node's estimate is still warming up:
-                    // substitute the prior rather than trusting a near-zero
-                    // reading (stale snapshots are even staler for it).
-                    self.cfg.u_init_pct
-                } else {
-                    u
-                }
-            })
-            .collect()
+        allocation_utils(snapshot, ctx, self.cfg.u_init_pct)
     }
 }
 
@@ -159,19 +137,11 @@ impl Controller for DecentralizedManager {
             if !ctx.replicable[t][j] {
                 continue;
             }
-            // Survivability repair stays local too: drop dead nodes.
-            let mut current: Vec<NodeId> = ctx.placements[t][j]
-                .iter()
-                .copied()
-                .filter(|n| ctx.alive[n.index()])
-                .collect();
-            if current.is_empty() {
-                if let Some(n) = ctx.least_utilized_excluding(&[]) {
-                    current.push(n);
-                } else {
-                    continue;
-                }
-            }
+            // Survivability repair stays local too; with no node alive the
+            // agent skips its stage.
+            let Some(mut current) = surviving_replicas(&ctx.placements[t][j], ctx) else {
+                continue;
+            };
             let mut changed = current != ctx.placements[t][j];
 
             if let Some(obs) = latest {
@@ -197,10 +167,11 @@ impl Controller for DecentralizedManager {
                             budget,
                             slack: budget.mul_f64(self.cfg.monitor.slack_fraction),
                         };
-                        let new = match replicate_subtask_with(
+                        let new = match replicate_subtask(
                             &req,
                             &self.predictor,
                             self.cfg.processor_choice,
+                            None,
                         ) {
                             Ok(ps) => ps,
                             Err(ReplicateFailure::OutOfProcessors { best_effort, .. }) => {
@@ -312,6 +283,23 @@ mod tests {
             .filter(|p| p.instance >= 15 && p.missed == Some(false))
             .count();
         assert!(late_ok >= 10, "recovers after home failure: {late_ok}");
+    }
+
+    #[test]
+    fn cold_node_is_valued_at_the_prior_when_replicating() {
+        use crate::manager::tests::{cold_masking_ctx, filter_placement, obs_with_filter_latency};
+
+        let mut m = DecentralizedManager::new(ArmConfig::paper_predictive(), predictor(), 0);
+        let c = cold_masking_ctx();
+        m.on_period_boundary(&[], &c);
+        let obs = obs_with_filter_latency(900.0, 14_000);
+        let actions = m.on_period_boundary(&[obs], &c);
+        let nodes = filter_placement(&actions).expect("filter must be replicated");
+        // The cold node's 0 % reads as u_init = 10 %, above the warm 5 %.
+        assert_eq!(nodes[1], NodeId(4), "{nodes:?}");
+        if nodes.len() > 2 {
+            assert_eq!(nodes[2], NodeId(0), "{nodes:?}");
+        }
     }
 
     #[test]

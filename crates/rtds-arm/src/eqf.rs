@@ -96,6 +96,22 @@ pub fn assign_deadlines(
     try_assign_deadlines(exec_ms, comm_ms, deadline, variant).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The fallback both resource managers use when EQF rejects their
+/// estimates: every subtask and message weighted equally, split by
+/// `variant`'s rule.
+pub(crate) fn uniform_assignment(
+    n_stages: usize,
+    deadline: SimDuration,
+    variant: EqfVariant,
+) -> DeadlineAssignment {
+    assign_deadlines(
+        &vec![1.0; n_stages],
+        &vec![1.0; n_stages.saturating_sub(1)],
+        deadline,
+        variant,
+    )
+}
+
 /// Why a deadline assignment could not be computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EqfError {

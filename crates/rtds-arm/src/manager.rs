@@ -24,13 +24,11 @@ use rtds_sim::sink::EventSink;
 
 use crate::audit::{CandidateForecast, DecisionArm, DecisionRecord};
 use crate::config::{ArmConfig, Policy};
-use crate::eqf::{assign_deadlines, try_assign_deadlines, DeadlineAssignment};
+use crate::eqf::{try_assign_deadlines, uniform_assignment, DeadlineAssignment};
 use crate::monitor::{assess_stage, SlackTracker, StageHealth};
 use crate::nonpredictive::{replicate_subtask_incremental, replicate_subtask_nonpredictive, shutdown_a_replica};
 use crate::online::OnlineRefiner;
-use crate::predictive::{
-    replicate_subtask_audited, replicate_subtask_with, ReplicateFailure, ReplicationRequest,
-};
+use crate::predictive::{replicate_subtask, ReplicateFailure, ReplicationRequest};
 use crate::predictor::Predictor;
 
 /// Per-allocation audit scratch: what `allocate` examined, for the
@@ -124,17 +122,6 @@ impl ResourceManager {
         self.audit = Some(sink);
     }
 
-    /// Builder-style [`ResourceManager::set_decision_sink`].
-    pub fn with_decision_sink(mut self, sink: Box<dyn EventSink<DecisionRecord> + Send>) -> Self {
-        self.set_decision_sink(sink);
-        self
-    }
-
-    /// The online refiner of one stage, if refinement is enabled.
-    pub fn refiner(&self, stage: usize) -> Option<&OnlineRefiner> {
-        self.refiners.as_ref().map(|r| &r[stage])
-    }
-
     /// Targets a different task id.
     pub fn for_task(mut self, task: TaskId) -> Self {
         self.task = task;
@@ -205,9 +192,8 @@ impl ResourceManager {
                 // plane: keep the previous assignment, or fall back to a
                 // uniform split if none exists yet.
                 if self.deadlines.is_none() {
-                    self.deadlines = Some(assign_deadlines(
-                        &vec![1.0; n],
-                        &vec![1.0; n.saturating_sub(1)],
+                    self.deadlines = Some(uniform_assignment(
+                        n,
                         ctx.deadlines[self.task.index()],
                         self.cfg.eqf,
                     ));
@@ -227,19 +213,7 @@ impl ResourceManager {
         ctx: &ControlContext,
         mut audit: Option<&mut AllocAudit>,
     ) -> Vec<NodeId> {
-        let utils: Vec<f64> = (0..ctx.n_nodes())
-            .map(|i| {
-                if !ctx.alive[i] {
-                    1e6
-                } else if ctx.cold[i] {
-                    // Restarted node still warming up: its near-zero EWMA
-                    // is a measurement artifact, not spare capacity.
-                    self.cfg.u_init_pct
-                } else {
-                    ctx.node_util_pct[i]
-                }
-            })
-            .collect();
+        let utils = allocation_utils(&ctx.node_util_pct, ctx, self.cfg.u_init_pct);
         let ps = match self.cfg.policy {
             Policy::Predictive => {
                 let deadlines = self.deadlines.as_ref().expect("deadlines initialized");
@@ -253,22 +227,16 @@ impl ResourceManager {
                     budget,
                     slack: budget.mul_f64(self.cfg.monitor.slack_fraction),
                 };
-                let outcome = match audit.as_deref_mut() {
-                    Some(a) => {
-                        let mut trail = Vec::new();
-                        let r = replicate_subtask_audited(
-                            &req,
-                            &self.predictor,
-                            self.cfg.processor_choice,
-                            &mut trail,
-                        );
-                        a.candidates = trail.into_iter().map(CandidateForecast::from).collect();
-                        r
-                    }
-                    None => {
-                        replicate_subtask_with(&req, &self.predictor, self.cfg.processor_choice)
-                    }
-                };
+                let mut trail = audit.is_some().then(Vec::new);
+                let outcome = replicate_subtask(
+                    &req,
+                    &self.predictor,
+                    self.cfg.processor_choice,
+                    trail.as_mut(),
+                );
+                if let (Some(a), Some(trail)) = (audit.as_deref_mut(), trail) {
+                    a.candidates = trail.into_iter().map(CandidateForecast::from).collect();
+                }
                 match outcome {
                     Ok(ps) => ps,
                     Err(ReplicateFailure::OutOfProcessors { best_effort, .. }) => {
@@ -375,6 +343,47 @@ fn heuristic_candidates(
         .collect()
 }
 
+/// The utilization view both managers allocate against, built from a
+/// per-node `snapshot`: dead nodes read a pessimal 1e6 % so no policy
+/// ever selects them, and a cold (freshly restarted) node reads the
+/// `u_init_pct` prior, because its near-zero EWMA is a measurement
+/// artifact, not spare capacity.
+pub(crate) fn allocation_utils(
+    snapshot: &[f64],
+    ctx: &ControlContext,
+    u_init_pct: f64,
+) -> Vec<f64> {
+    snapshot
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| {
+            if !ctx.alive[i] {
+                1e6
+            } else if ctx.cold[i] {
+                u_init_pct
+            } else {
+                u
+            }
+        })
+        .collect()
+}
+
+/// Survivability repair of one replica set: its live replicas, or — when
+/// the whole set died — the least-utilized live node alone (continued
+/// availability, paper §1's motivation). `None` when no node is alive.
+pub(crate) fn surviving_replicas(ps: &[NodeId], ctx: &ControlContext) -> Option<Vec<NodeId>> {
+    let live: Vec<NodeId> = ps
+        .iter()
+        .copied()
+        .filter(|n| ctx.alive[n.index()])
+        .collect();
+    if live.is_empty() {
+        ctx.least_utilized_excluding(&[]).map(|n| vec![n])
+    } else {
+        Some(live)
+    }
+}
+
 /// Manages several tasks by delegating to one [`ResourceManager`] each —
 /// the paper's model is a *set* of periodic tasks (§3), each with its own
 /// pipeline, deadlines, and replica placements, all drawing on the same
@@ -440,21 +449,15 @@ impl Controller for ResourceManager {
         // borrow: (stage, before, chosen).
         let mut repair_records: Vec<(usize, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
 
-        // Survivability repair: drop dead nodes from every replica set; a
-        // stage whose whole set died is re-homed on the least-utilized
-        // alive node (continued availability, paper §1's motivation).
+        // Survivability repair: drop dead nodes from every replica set and
+        // re-home a set that died whole.
         for (j, ps) in placements.iter_mut().enumerate() {
             if ps.iter().all(|n| ctx.alive[n.index()]) {
                 continue;
             }
-            let mut repaired: Vec<NodeId> =
-                ps.iter().copied().filter(|n| ctx.alive[n.index()]).collect();
-            if repaired.is_empty() {
-                match ctx.least_utilized_excluding(&[]) {
-                    Some(n) => repaired.push(n),
-                    None => continue, // whole cluster dead; nothing to do
-                }
-            }
+            let Some(repaired) = surviving_replicas(ps, ctx) else {
+                continue; // whole cluster dead; nothing to do
+            };
             self.stats.repairs += 1;
             let before = std::mem::replace(ps, repaired.clone());
             if self.audit.is_some() {
@@ -471,6 +474,17 @@ impl Controller for ResourceManager {
             self.emit_decision(ctx, j, DecisionArm::Repair, None, None, None, &before, &chosen);
         }
 
+        // Mean observed utilization of a replica set, as residual grading
+        // and online refinement see it: cold nodes are not masked here.
+        let u_init_pct = self.cfg.u_init_pct;
+        let raw_mean_util = |ps: &[NodeId]| -> f64 {
+            if ps.is_empty() {
+                u_init_pct
+            } else {
+                ps.iter().map(|p| ctx.node_util_pct[p.index()]).sum::<f64>() / ps.len() as f64
+            }
+        };
+
         // Forecast-accuracy telemetry: grade the Eq. (3)/(4) forecasts
         // against what the simulator measured, *before* online refinement
         // absorbs these observations (a refined model must not be graded
@@ -480,13 +494,7 @@ impl Controller for ResourceManager {
                 for st in &obs.stages {
                     let j = st.subtask.index();
                     let share = st.tracks.div_ceil(u64::from(st.replicas.max(1)));
-                    let ps = &ctx.placements[t][j];
-                    let u = if ps.is_empty() {
-                        self.cfg.u_init_pct
-                    } else {
-                        ps.iter().map(|p| ctx.node_util_pct[p.index()]).sum::<f64>()
-                            / ps.len() as f64
-                    };
+                    let u = raw_mean_util(&ctx.placements[t][j]);
                     let eex = self.predictor.eex(j, share, u).as_millis_f64();
                     self.exec_residuals[j].observe(eex, st.exec_latency.as_millis_f64());
                     if j > 0 {
@@ -516,13 +524,7 @@ impl Controller for ResourceManager {
                     let j = st.subtask.index();
                     let replicas = st.replicas.max(1) as f64;
                     let d = st.tracks as f64 / replicas / 100.0;
-                    let ps = &ctx.placements[t][j];
-                    let u = if ps.is_empty() {
-                        self.cfg.u_init_pct
-                    } else {
-                        ps.iter().map(|p| ctx.node_util_pct[p.index()]).sum::<f64>()
-                            / ps.len() as f64
-                    };
+                    let u = raw_mean_util(&ctx.placements[t][j]);
                     refiners[j].observe(d, u, st.exec_latency.as_millis_f64());
                     touched |= 1u64 << j.min(63);
                 }
@@ -671,7 +673,7 @@ impl Controller for ResourceManager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::predictor::analytic_predictor;
     use rtds_dynbench::app::{aaw_task, FILTER_STAGE};
@@ -705,11 +707,23 @@ mod tests {
         }
     }
 
+    /// The new replica set of the filter stage, if an action sets one.
+    pub(crate) fn filter_placement(actions: &[ControlAction]) -> Option<Vec<NodeId>> {
+        actions.iter().find_map(|a| match a {
+            ControlAction::SetPlacement { subtask, nodes, .. }
+                if subtask.index() == FILTER_STAGE =>
+            {
+                Some(nodes.clone())
+            }
+            _ => None,
+        })
+    }
+
     fn home_placements() -> Vec<Vec<NodeId>> {
         (0..5).map(|i| vec![NodeId(i)]).collect()
     }
 
-    fn obs_with_filter_latency(exec_ms: f64, tracks: u64) -> PeriodObservation {
+    pub(crate) fn obs_with_filter_latency(exec_ms: f64, tracks: u64) -> PeriodObservation {
         let stages = (0..5)
             .map(|j| StageObservation {
                 subtask: SubtaskIdx::from_index(j),
@@ -774,19 +788,37 @@ mod tests {
         // Filter way over its budget.
         let obs = obs_with_filter_latency(900.0, 14_000);
         let actions = m.on_period_boundary(&[obs], &c);
-        let filter_action = actions.iter().find_map(|a| match a {
-            ControlAction::SetPlacement { subtask, nodes, .. }
-                if subtask.index() == FILTER_STAGE =>
-            {
-                Some(nodes.clone())
-            }
-            _ => None,
-        });
-        let nodes = filter_action.expect("filter must be replicated");
+        let nodes = filter_placement(&actions).expect("filter must be replicated");
         assert!(nodes.len() >= 2, "{nodes:?}");
         assert_eq!(nodes[0], NodeId(FILTER_STAGE as u32), "original first");
         assert!(m.stats().replications >= 1);
         assert!(m.stats().deadline_reassignments >= 2, "reassigned after action");
+    }
+
+    /// Node 0 cold (reporting 0 %), node 4 warm at 5 %, the rest at 50 %.
+    pub(crate) fn cold_masking_ctx() -> ControlContext {
+        let mut c = ctx(
+            vec![0.0, 50.0, 50.0, 50.0, 5.0, 50.0],
+            home_placements(),
+            14_000,
+        );
+        c.cold[0] = true;
+        c
+    }
+
+    #[test]
+    fn cold_node_is_valued_at_the_prior_when_replicating() {
+        let mut m = manager(ArmConfig::paper_predictive());
+        let c = cold_masking_ctx();
+        m.on_period_boundary(&[], &c);
+        let obs = obs_with_filter_latency(900.0, 14_000);
+        let actions = m.on_period_boundary(&[obs], &c);
+        let nodes = filter_placement(&actions).expect("filter must be replicated");
+        // The cold node's 0 % reads as u_init = 10 %, above the warm 5 %.
+        assert_eq!(nodes[1], NodeId(4), "{nodes:?}");
+        if nodes.len() > 2 {
+            assert_eq!(nodes[2], NodeId(0), "{nodes:?}");
+        }
     }
 
     #[test]
@@ -797,17 +829,7 @@ mod tests {
         m.on_period_boundary(&[], &c);
         let obs = obs_with_filter_latency(900.0, 14_000);
         let actions = m.on_period_boundary(&[obs], &c);
-        let nodes = actions
-            .iter()
-            .find_map(|a| match a {
-                ControlAction::SetPlacement { subtask, nodes, .. }
-                    if subtask.index() == FILTER_STAGE =>
-                {
-                    Some(nodes.clone())
-                }
-                _ => None,
-            })
-            .expect("replication action");
+        let nodes = filter_placement(&actions).expect("replication action");
         // Nodes under 20 %: 0 (10), 4 (5), 5 (2) join node 2 (original).
         assert_eq!(
             nodes,
@@ -830,16 +852,7 @@ mod tests {
         let a1 = m.on_period_boundary(std::slice::from_ref(&obs), &c);
         assert!(a1.is_empty(), "patience not yet met: {a1:?}");
         let a2 = m.on_period_boundary(&[obs], &c);
-        let nodes = a2
-            .iter()
-            .find_map(|a| match a {
-                ControlAction::SetPlacement { subtask, nodes, .. }
-                    if subtask.index() == FILTER_STAGE =>
-                {
-                    Some(nodes.clone())
-                }
-                _ => None,
-            })
+        let nodes = filter_placement(&a2)
             .expect("shutdown action on second high-slack period");
         assert_eq!(nodes, vec![NodeId(2)], "last-added replica removed");
         assert_eq!(m.stats().shutdowns, 1);
@@ -898,8 +911,8 @@ mod tests {
         use std::sync::{Arc, Mutex};
 
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
-        let mut m = manager(ArmConfig::paper_predictive())
-            .with_decision_sink(Box::new(Arc::clone(&shared)));
+        let mut m = manager(ArmConfig::paper_predictive());
+        m.set_decision_sink(Box::new(Arc::clone(&shared)));
         let c = ctx(vec![15.0; 6], home_placements(), 14_000);
         m.on_period_boundary(&[], &c); // init deadlines
         let obs = obs_with_filter_latency(900.0, 14_000);
@@ -962,8 +975,8 @@ mod tests {
         use std::sync::{Arc, Mutex};
 
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
-        let mut m = manager(ArmConfig::paper_nonpredictive())
-            .with_decision_sink(Box::new(Arc::clone(&shared)));
+        let mut m = manager(ArmConfig::paper_nonpredictive());
+        m.set_decision_sink(Box::new(Arc::clone(&shared)));
         let utils = vec![10.0, 30.0, 15.0, 25.0, 5.0, 2.0];
         let c = ctx(utils, home_placements(), 14_000);
         m.on_period_boundary(&[], &c);
@@ -995,8 +1008,8 @@ mod tests {
         let mut cfg = ArmConfig::paper_predictive();
         cfg.monitor.shutdown_patience = 2;
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
-        let mut m = ResourceManager::new(cfg, predictor())
-            .with_decision_sink(Box::new(Arc::clone(&shared)));
+        let mut m = ResourceManager::new(cfg, predictor());
+        m.set_decision_sink(Box::new(Arc::clone(&shared)));
         let mut placements = home_placements();
         placements[FILTER_STAGE] = vec![NodeId(2), NodeId(5)];
         let c = ctx(vec![10.0; 6], placements, 1_000);

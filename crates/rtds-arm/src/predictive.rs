@@ -91,46 +91,6 @@ impl ProcessorChoice {
     }
 }
 
-/// Fig. 5. Returns the satisfying replica set (a strict superset of
-/// `current`, in utilization-greedy order) or a failure.
-///
-/// ```
-/// use rtds_arm::predictive::{replicate_subtask, ReplicationRequest};
-/// use rtds_arm::predictor::analytic_predictor;
-/// use rtds_dynbench::app::aaw_task;
-/// use rtds_regression::{BufferDelayModel, CommDelayModel};
-/// use rtds_sim::ids::NodeId;
-/// use rtds_sim::time::SimDuration;
-///
-/// let predictor = analytic_predictor(
-///     &aaw_task(),
-///     CommDelayModel::new(BufferDelayModel::from_slope(0.0005), 100e6),
-/// );
-/// let current = [NodeId(2)];
-/// let utils = [10.0; 6];
-/// let budget = SimDuration::from_millis(200);
-/// let ps = replicate_subtask(
-///     &ReplicationRequest {
-///         current: &current,
-///         node_util_pct: &utils,
-///         stage: 2, // Filter
-///         tracks: 10_000,
-///         total_periodic_tracks: 10_000,
-///         budget,
-///         slack: budget.mul_f64(0.2),
-///     },
-///     &predictor,
-/// )
-/// .expect("an idle cluster can absorb this");
-/// assert!(ps.len() >= 2 && ps[0] == NodeId(2));
-/// ```
-pub fn replicate_subtask(
-    req: &ReplicationRequest<'_>,
-    predictor: &Predictor,
-) -> Result<Vec<NodeId>, ReplicateFailure> {
-    replicate_subtask_with(req, predictor, ProcessorChoice::LeastUtilized)
-}
-
 /// One candidate processor examined by an audited Fig. 5 run: the node,
 /// the utilization it was picked at, its own forecast with the enlarged
 /// replica set, the worst forecast across that set, and whether the set
@@ -154,30 +114,50 @@ pub struct CandidateStep {
     pub accepted: bool,
 }
 
-/// Fig. 5 with an explicit host-selection rule (ablation entry point).
-pub fn replicate_subtask_with(
-    req: &ReplicationRequest<'_>,
-    predictor: &Predictor,
-    choice: ProcessorChoice,
-) -> Result<Vec<NodeId>, ReplicateFailure> {
-    replicate_subtask_core(req, predictor, choice, None)
-}
-
-/// Fig. 5 with a per-candidate audit trail: every processor examined is
-/// appended to `audit` with its forecast against the threshold. The
-/// decision is **identical** to [`replicate_subtask_with`] — the audit
-/// only records what the algorithm computed anyway (plus the added
-/// node's own eex/ecd split, derived from the same predictor calls).
-pub fn replicate_subtask_audited(
-    req: &ReplicationRequest<'_>,
-    predictor: &Predictor,
-    choice: ProcessorChoice,
-    audit: &mut Vec<CandidateStep>,
-) -> Result<Vec<NodeId>, ReplicateFailure> {
-    replicate_subtask_core(req, predictor, choice, Some(audit))
-}
-
-fn replicate_subtask_core(
+/// Fig. 5. Returns the satisfying replica set (a strict superset of
+/// `current`, in the order `choice` picked the hosts) or a failure.
+///
+/// `choice` is the step-3 host-selection rule (the paper's is
+/// [`ProcessorChoice::LeastUtilized`]). When `audit` is given, every
+/// processor examined is appended to it with its forecast against the
+/// threshold; the decision is identical either way, since the audit
+/// only records what the algorithm computed anyway.
+///
+/// ```
+/// use rtds_arm::predictive::{replicate_subtask, ProcessorChoice, ReplicationRequest};
+/// use rtds_arm::predictor::analytic_predictor;
+/// use rtds_dynbench::app::aaw_task;
+/// use rtds_regression::{BufferDelayModel, CommDelayModel};
+/// use rtds_sim::ids::NodeId;
+/// use rtds_sim::time::SimDuration;
+///
+/// let predictor = analytic_predictor(
+///     &aaw_task(),
+///     CommDelayModel::new(BufferDelayModel::from_slope(0.0005), 100e6),
+/// );
+/// let current = [NodeId(2)];
+/// let utils = [10.0; 6];
+/// let budget = SimDuration::from_millis(200);
+/// let mut audit = Vec::new();
+/// let ps = replicate_subtask(
+///     &ReplicationRequest {
+///         current: &current,
+///         node_util_pct: &utils,
+///         stage: 2, // Filter
+///         tracks: 10_000,
+///         total_periodic_tracks: 10_000,
+///         budget,
+///         slack: budget.mul_f64(0.2),
+///     },
+///     &predictor,
+///     ProcessorChoice::LeastUtilized,
+///     Some(&mut audit),
+/// )
+/// .expect("an idle cluster can absorb this");
+/// assert!(ps.len() >= 2 && ps[0] == NodeId(2));
+/// assert_eq!(audit.len(), ps.len() - 1);
+/// ```
+pub fn replicate_subtask(
     req: &ReplicationRequest<'_>,
     predictor: &Predictor,
     choice: ProcessorChoice,
@@ -210,12 +190,12 @@ fn replicate_subtask_core(
         let worst = worst_forecast_ms(&ps, req, predictor);
         let accepted = worst <= threshold;
         if let Some(trail) = audit.as_deref_mut() {
-            let (eex_ms, ecd_ms) = replica_forecast_ms(p, ps.len(), req, predictor);
+            let (eex, ecd) = replica_forecast(p, ps.len(), req, predictor);
             trail.push(CandidateStep {
                 node: p,
                 util_pct: req.node_util_pct[p.index()],
-                eex_ms,
-                ecd_ms,
+                eex_ms: eex.as_millis_f64(),
+                ecd_ms: ecd.as_millis_f64(),
                 worst_total_ms: worst,
                 accepted,
             });
@@ -228,22 +208,28 @@ fn replicate_subtask_core(
     }
 }
 
-/// The (eex, ecd) forecast in ms for one replica of the set, at set size
-/// `k` — the per-node split behind [`worst_forecast_ms`].
-fn replica_forecast_ms(
+/// Steps 6.2–6.4: the (eex, ecd) forecast for the replica on `q` in a
+/// set of `k` replicas.
+fn replica_forecast(
     q: NodeId,
     k: usize,
     req: &ReplicationRequest<'_>,
     predictor: &Predictor,
-) -> (f64, f64) {
+) -> (SimDuration, SimDuration) {
+    // Step 6.2: each replica processes 1/|PS| of the data (round up so the
+    // forecast covers the largest share).
     let share = req.tracks.div_ceil(k as u64);
+    // Step 6.3.
     let eex = predictor.eex(req.stage, share, req.node_util_pct[q.index()]);
+    // Step 6.4: the inbound message carries the replica's share; its size
+    // is the predecessor's output for that share. Stage 0 has no inbound
+    // message.
     let ecd = if req.stage == 0 {
         SimDuration::ZERO
     } else {
         predictor.ecd(req.stage - 1, share, req.total_periodic_tracks)
     };
-    (eex.as_millis_f64(), ecd.as_millis_f64())
+    (eex, ecd)
 }
 
 /// The forecast total (eex + ecd, ms) of the worst-off replica under the
@@ -253,28 +239,11 @@ pub fn worst_forecast_ms(
     req: &ReplicationRequest<'_>,
     predictor: &Predictor,
 ) -> f64 {
-    let k = ps.len() as u64;
-    // Step 6.2: each replica processes 1/|PS| of the data (round up so the
-    // forecast covers the largest share).
-    let share = req.tracks.div_ceil(k);
-    let mut worst = 0.0f64;
-    for &q in ps {
-        let u = req.node_util_pct[q.index()];
-        // Step 6.3.
-        let eex = predictor.eex(req.stage, share, u);
-        // Step 6.4: the inbound message carries the replica's share; its
-        // size is the predecessor's output for that share. Stage 0 has no
-        // inbound message.
-        let ecd = if req.stage == 0 {
-            SimDuration::ZERO
-        } else {
-            predictor.ecd(req.stage - 1, share, req.total_periodic_tracks)
-        };
+    ps.iter().fold(0.0f64, |worst, &q| {
         // Step 6.5.
-        let total = (eex + ecd).as_millis_f64();
-        worst = worst.max(total);
-    }
-    worst
+        let (eex, ecd) = replica_forecast(q, ps.len(), req, predictor);
+        worst.max((eex + ecd).as_millis_f64())
+    })
 }
 
 #[cfg(test)]
@@ -283,6 +252,8 @@ mod tests {
     use crate::predictor::analytic_predictor;
     use rtds_dynbench::app::aaw_task;
     use rtds_regression::buffer::{BufferDelayModel, CommDelayModel};
+
+    const LU: ProcessorChoice = ProcessorChoice::LeastUtilized;
 
     fn predictor() -> Predictor {
         analytic_predictor(
@@ -321,7 +292,7 @@ mod tests {
         let utils = [5.0; 6];
         let current = [NodeId(2)];
         let r = req(&current, &utils, 10_000, 200.0);
-        let ps = replicate_subtask(&r, &predictor()).unwrap();
+        let ps = replicate_subtask(&r, &predictor(), LU, None).unwrap();
         assert_eq!(ps.len(), 2, "one extra replica should suffice: {ps:?}");
         assert_eq!(ps[0], NodeId(2), "original stays first");
     }
@@ -333,7 +304,7 @@ mod tests {
         let utils = [5.0; 6];
         let current = [NodeId(2)];
         let r = req(&current, &utils, 100, 900.0);
-        let ps = replicate_subtask(&r, &predictor()).unwrap();
+        let ps = replicate_subtask(&r, &predictor(), LU, None).unwrap();
         assert_eq!(ps.len(), 2);
     }
 
@@ -343,7 +314,7 @@ mod tests {
         let current = [NodeId(2)];
         // Big load, small budget: forces several additions.
         let r = req(&current, &utils, 16_000, 260.0);
-        let ps = replicate_subtask(&r, &predictor()).unwrap();
+        let ps = replicate_subtask(&r, &predictor(), LU, None).unwrap();
         // Greedy order after the original (node 2): 4 (5 %), 1 (10 %), ...
         assert_eq!(ps[0], NodeId(2));
         assert_eq!(ps[1], NodeId(4));
@@ -358,7 +329,7 @@ mod tests {
         let current = [NodeId(0)];
         let mut r = req(&current, &utils, 17_500, 100.0);
         r.node_util_pct = &utils;
-        match replicate_subtask(&r, &predictor()) {
+        match replicate_subtask(&r, &predictor(), LU, None) {
             Err(ReplicateFailure::OutOfProcessors {
                 best_effort,
                 worst_forecast_ms,
@@ -374,12 +345,11 @@ mod tests {
     fn higher_budget_needs_fewer_replicas() {
         let utils = [10.0; 6];
         let current = [NodeId(2)];
-        let tight = replicate_subtask(&req(&current, &utils, 14_000, 250.0), &predictor())
-            .map(|p| p.len())
-            .unwrap_or(6);
-        let loose = replicate_subtask(&req(&current, &utils, 14_000, 800.0), &predictor())
-            .map(|p| p.len())
-            .unwrap_or(6);
+        let replicas = |budget_ms| {
+            let r = req(&current, &utils, 14_000, budget_ms);
+            replicate_subtask(&r, &predictor(), LU, None).map_or(6, |p| p.len())
+        };
+        let (tight, loose) = (replicas(250.0), replicas(800.0));
         assert!(loose <= tight, "loose budget {loose} vs tight {tight}");
     }
 
@@ -426,7 +396,7 @@ mod tests {
         let current = [NodeId(2)];
         let r = req(&current, &utils, 12_000, 400.0);
         let ps =
-            replicate_subtask_with(&r, &predictor(), ProcessorChoice::FirstAvailable).unwrap();
+            replicate_subtask(&r, &predictor(), ProcessorChoice::FirstAvailable, None).unwrap();
         // FirstAvailable adds node 0 (busiest!) before node 1.
         assert_eq!(ps[1], NodeId(0));
     }
@@ -436,23 +406,12 @@ mod tests {
         let utils = [10.0; 6];
         let current = [NodeId(2)];
         let r = req(&current, &utils, 12_000, 400.0);
-        let a = replicate_subtask_with(&r, &predictor(), ProcessorChoice::Pseudorandom).unwrap();
-        let b = replicate_subtask_with(&r, &predictor(), ProcessorChoice::Pseudorandom).unwrap();
+        let a = replicate_subtask(&r, &predictor(), ProcessorChoice::Pseudorandom, None).unwrap();
+        let b = replicate_subtask(&r, &predictor(), ProcessorChoice::Pseudorandom, None).unwrap();
         assert_eq!(a, b);
         // Still a valid set.
         let mut seen = std::collections::HashSet::new();
         assert!(a.iter().all(|n| seen.insert(*n)));
-    }
-
-    #[test]
-    fn least_utilized_choice_matches_default_entry_point() {
-        let utils = [50.0, 10.0, 0.0, 30.0, 5.0, 90.0];
-        let current = [NodeId(2)];
-        let r = req(&current, &utils, 16_000, 260.0);
-        let a = replicate_subtask(&r, &predictor()).unwrap();
-        let b =
-            replicate_subtask_with(&r, &predictor(), ProcessorChoice::LeastUtilized).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -461,11 +420,9 @@ mod tests {
         let current = [NodeId(2)];
         let r = req(&current, &utils, 16_000, 260.0);
         let p = predictor();
-        let plain = replicate_subtask(&r, &p).unwrap();
+        let plain = replicate_subtask(&r, &p, LU, None).unwrap();
         let mut trail = Vec::new();
-        let audited =
-            replicate_subtask_audited(&r, &p, ProcessorChoice::LeastUtilized, &mut trail)
-                .unwrap();
+        let audited = replicate_subtask(&r, &p, LU, Some(&mut trail)).unwrap();
         assert_eq!(plain, audited, "audit must not change the decision");
         // One step per processor added beyond the original set.
         assert_eq!(trail.len(), audited.len() - current.len());
@@ -490,13 +447,7 @@ mod tests {
         let current = [NodeId(0)];
         let r = req(&current, &utils, 17_500, 100.0);
         let mut trail = Vec::new();
-        let err = replicate_subtask_audited(
-            &r,
-            &predictor(),
-            ProcessorChoice::LeastUtilized,
-            &mut trail,
-        )
-        .unwrap_err();
+        let err = replicate_subtask(&r, &predictor(), LU, Some(&mut trail)).unwrap_err();
         assert!(matches!(err, ReplicateFailure::OutOfProcessors { .. }));
         assert_eq!(trail.len(), 2, "both extra processors were examined");
         assert!(trail.iter().all(|s| !s.accepted));
@@ -507,6 +458,6 @@ mod tests {
     fn empty_replica_set_panics() {
         let utils = [0.0; 6];
         let r = req(&[], &utils, 100, 100.0);
-        let _ = replicate_subtask(&r, &predictor());
+        let _ = replicate_subtask(&r, &predictor(), LU, None);
     }
 }

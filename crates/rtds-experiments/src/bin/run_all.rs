@@ -44,9 +44,10 @@ fn allocation_count() -> u64 {
 fn main() {
     let opts = RunOptions::from_env();
     opts.init_perfmon(Some(allocation_count));
-    use rtds_experiments::figures::{eval, patterns, profile, tables};
+    use rtds_experiments::figures::eval::{self, paper_sweep, PaperPattern};
+    use rtds_experiments::figures::{patterns, profile, tables};
     let o = &opts.options;
-    let report = opts.emit_figures([
+    let mut figs = vec![
         tables::table1(o),
         tables::table2(o),
         tables::table3(o),
@@ -54,13 +55,25 @@ fn main() {
         profile::fig3(o),
         profile::fig4(o),
         patterns::fig8(o),
-        eval::fig9(o),
-        eval::fig10(o),
-        eval::fig11(o),
-        eval::fig12(o),
-        eval::fig13a(o, opts.extended),
-        eval::fig13b(o, opts.extended),
-    ]);
+    ];
+    // Each sweep runs once and feeds every figure built from it.
+    let triangular = paper_sweep(PaperPattern::Triangular, o, false);
+    figs.extend([eval::fig9(&triangular), eval::fig10(&triangular)]);
+    let increasing = paper_sweep(PaperPattern::Increasing, o, false);
+    figs.push(eval::fig11(&increasing));
+    let decreasing = paper_sweep(PaperPattern::Decreasing, o, false);
+    figs.push(eval::fig12(&decreasing));
+    // Fig. 13 reuses the ramp sweeps unless `--extended` widens its axis.
+    let (increasing, decreasing) = if opts.extended {
+        (
+            paper_sweep(PaperPattern::Increasing, o, true),
+            paper_sweep(PaperPattern::Decreasing, o, true),
+        )
+    } else {
+        (increasing, decreasing)
+    };
+    figs.extend([eval::fig13a(&increasing), eval::fig13b(&decreasing)]);
+    let report = opts.emit_figures(figs);
     std::fs::create_dir_all(&o.out_dir).expect("create output dir");
     let report_path = o.out_dir.join("REPORT.txt");
     std::fs::write(&report_path, report).expect("write report");

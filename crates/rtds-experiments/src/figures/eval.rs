@@ -11,21 +11,43 @@
 //! * Fig. 13 (a, b) — combined metric for both ramps, including the
 //!   extended-workload run behind the paper's §5.2 claim that the ranking
 //!   fluctuates beyond the threshold workload.
-
-use std::collections::HashMap;
-use std::sync::Mutex;
+//!
+//! Each figure function renders the sweep points it is handed; the caller
+//! runs each sweep once with [`paper_sweep`] and passes it to every figure
+//! built from it (9+10 share the triangular sweep, 11+13(a) the
+//! increasing ramp, 12+13(b) the decreasing ramp).
 
 use super::{FigureOptions, FigureOutput};
 use crate::report::{ascii_chart, fmt_f, Series, Table};
 use crate::scenario::{PatternSpec, PolicySpec};
 use crate::sweep::{points_for, run_sweep, SweepConfig, SweepPoint};
 
-/// Sweep settings for one paper pattern under the given options.
-fn sweep_config(pattern: PatternSpec, opts: &FigureOptions, extended: bool) -> SweepConfig {
+/// The workload patterns of the paper's evaluation figures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PaperPattern {
+    /// Figs. 9 and 10.
+    Triangular,
+    /// Figs. 11 and 13(a).
+    Increasing,
+    /// Figs. 12 and 13(b).
+    Decreasing,
+}
+
+/// Runs the sweep behind one paper pattern under the given options, both
+/// policies at every unit. `extended` widens the workload axis past the
+/// paper's 35 units (Fig. 13's fluctuation study).
+pub fn paper_sweep(pattern: PaperPattern, opts: &FigureOptions, extended: bool) -> Vec<SweepPoint> {
+    // Pattern parameterizations, scaled to run length.
+    let n = if opts.quick { 40 } else { 240 };
+    let spec = match pattern {
+        PaperPattern::Triangular => PatternSpec::Triangular { half_period: n / 8 },
+        PaperPattern::Increasing => PatternSpec::Increasing { ramp_periods: n },
+        PaperPattern::Decreasing => PatternSpec::Decreasing { ramp_periods: n },
+    };
     let mut cfg = if opts.quick {
-        SweepConfig::quick(pattern)
+        SweepConfig::quick(spec)
     } else {
-        SweepConfig::paper(pattern)
+        SweepConfig::paper(spec)
     };
     cfg.threads = opts.threads;
     cfg.bg_fast_path = opts.bg_fast_path;
@@ -34,42 +56,7 @@ fn sweep_config(pattern: PatternSpec, opts: &FigureOptions, extended: bool) -> S
         let step = if opts.quick { 6 } else { 1 };
         cfg.units = (1..=top).step_by(step).collect();
     }
-    cfg
-}
-
-/// The pattern parameterizations the figures use, scaled to run length.
-fn paper_pattern(kind: &str, opts: &FigureOptions) -> PatternSpec {
-    let n = if opts.quick { 40 } else { 240 };
-    match kind {
-        "triangular" => PatternSpec::Triangular { half_period: n / 8 },
-        "increasing" => PatternSpec::Increasing { ramp_periods: n },
-        "decreasing" => PatternSpec::Decreasing { ramp_periods: n },
-        other => panic!("unknown paper pattern {other}"),
-    }
-}
-
-/// Process-wide sweep cache so figure pairs (9+10, 11/12+13) that share a
-/// sweep do not run it twice within one binary (notably `run_all`).
-fn sweep_cached(kind: &str, opts: &FigureOptions, extended: bool) -> Vec<SweepPoint> {
-    static CACHE: Mutex<Option<HashMap<String, Vec<SweepPoint>>>> = Mutex::new(None);
-    let key = format!("{kind}/{}/{}/{}", opts.quick, extended, opts.fitted_models);
-    if let Some(hit) = CACHE
-        .lock()
-        .expect("sweep cache")
-        .get_or_insert_with(HashMap::new)
-        .get(&key)
-    {
-        return hit.clone();
-    }
-    let cfg = sweep_config(paper_pattern(kind, opts), opts, extended);
-    let predictor = opts.predictor();
-    let points = run_sweep(&cfg, &predictor);
-    CACHE
-        .lock()
-        .expect("sweep cache")
-        .get_or_insert_with(HashMap::new)
-        .insert(key, points.clone());
-    points
+    run_sweep(&cfg, &opts.predictor())
 }
 
 /// Builds the four-metric table + charts from sweep points.
@@ -135,11 +122,9 @@ fn metric_tables(points: &[SweepPoint]) -> (Table, String) {
 fn four_metric_figure(
     id: &'static str,
     title: &'static str,
-    kind: &str,
-    opts: &FigureOptions,
+    points: &[SweepPoint],
 ) -> FigureOutput {
-    let points = sweep_cached(kind, opts, false);
-    let (table, charts) = metric_tables(&points);
+    let (table, charts) = metric_tables(points);
     let text = format!("{title}\n\n{}\n{charts}\n", table.render());
     FigureOutput {
         id,
@@ -150,27 +135,20 @@ fn four_metric_figure(
 }
 
 /// Shared implementation of Figs. 10 and 13(a)/(b).
-fn combined_figure(
-    id: &'static str,
-    title: &'static str,
-    kind: &str,
-    opts: &FigureOptions,
-    extended: bool,
-) -> FigureOutput {
-    let points = sweep_cached(kind, opts, extended);
+fn combined_figure(id: &'static str, title: &'static str, points: &[SweepPoint]) -> FigureOutput {
     let mut table = Table::new(vec!["max_workload_units", "policy", "combined_metric"]);
-    for p in &points {
+    for p in points {
         table.row(vec![
             p.units.to_string(),
             p.policy.name().to_string(),
             fmt_f(p.combined),
         ]);
     }
-    let pred: Vec<(f64, f64)> = points_for(&points, PolicySpec::Predictive)
+    let pred: Vec<(f64, f64)> = points_for(points, PolicySpec::Predictive)
         .iter()
         .map(|p| (p.units as f64, p.combined))
         .collect();
-    let nonp: Vec<(f64, f64)> = points_for(&points, PolicySpec::NonPredictive)
+    let nonp: Vec<(f64, f64)> = points_for(points, PolicySpec::NonPredictive)
         .iter()
         .map(|p| (p.units as f64, p.combined))
         .collect();
@@ -221,66 +199,57 @@ fn combined_figure(
 }
 
 /// Fig. 9 (a–d): triangular pattern, four metrics.
-pub fn fig9(opts: &FigureOptions) -> FigureOutput {
+pub fn fig9(points: &[SweepPoint]) -> FigureOutput {
     four_metric_figure(
         "fig9",
         "Figure 9: Performance for the triangular workload pattern",
-        "triangular",
-        opts,
+        points,
     )
 }
 
 /// Fig. 10: triangular pattern, combined metric.
-pub fn fig10(opts: &FigureOptions) -> FigureOutput {
+pub fn fig10(points: &[SweepPoint]) -> FigureOutput {
     combined_figure(
         "fig10",
         "Figure 10: Combined performance, triangular pattern",
-        "triangular",
-        opts,
-        false,
+        points,
     )
 }
 
 /// Fig. 11 (a–d): increasing-ramp pattern, four metrics.
-pub fn fig11(opts: &FigureOptions) -> FigureOutput {
+pub fn fig11(points: &[SweepPoint]) -> FigureOutput {
     four_metric_figure(
         "fig11",
         "Figure 11: Performance for the increasing-ramp workload pattern",
-        "increasing",
-        opts,
+        points,
     )
 }
 
 /// Fig. 12 (a–d): decreasing-ramp pattern, four metrics.
-pub fn fig12(opts: &FigureOptions) -> FigureOutput {
+pub fn fig12(points: &[SweepPoint]) -> FigureOutput {
     four_metric_figure(
         "fig12",
         "Figure 12: Performance for the decreasing-ramp workload pattern",
-        "decreasing",
-        opts,
+        points,
     )
 }
 
-/// Fig. 13 (a): increasing ramp, combined metric (optionally extended
-/// beyond the paper's 35-unit axis for the fluctuation study).
-pub fn fig13a(opts: &FigureOptions, extended: bool) -> FigureOutput {
+/// Fig. 13 (a): increasing ramp, combined metric (from an extended sweep
+/// for the fluctuation study beyond the paper's 35-unit axis).
+pub fn fig13a(points: &[SweepPoint]) -> FigureOutput {
     combined_figure(
         "fig13a",
         "Figure 13(a): Combined performance, increasing-ramp pattern",
-        "increasing",
-        opts,
-        extended,
+        points,
     )
 }
 
 /// Fig. 13 (b): decreasing ramp, combined metric.
-pub fn fig13b(opts: &FigureOptions, extended: bool) -> FigureOutput {
+pub fn fig13b(points: &[SweepPoint]) -> FigureOutput {
     combined_figure(
         "fig13b",
         "Figure 13(b): Combined performance, decreasing-ramp pattern",
-        "decreasing",
-        opts,
-        extended,
+        points,
     )
 }
 
@@ -288,10 +257,23 @@ pub fn fig13b(opts: &FigureOptions, extended: bool) -> FigureOutput {
 mod tests {
     use super::*;
 
+    fn quick_sweep(pattern: PaperPattern, extended: bool) -> Vec<SweepPoint> {
+        paper_sweep(pattern, &FigureOptions::quick_for_tests("eval"), extended)
+    }
+
+    /// The (unit, policy) cells of a figure's table, in order.
+    fn grid(f: &FigureOutput) -> Vec<String> {
+        f.tables[0]
+            .1
+            .to_csv()
+            .lines()
+            .map(|l| l.split(',').take(2).collect::<Vec<_>>().join(","))
+            .collect()
+    }
+
     #[test]
     fn fig9_compares_both_policies_at_every_unit() {
-        let opts = FigureOptions::quick_for_tests("fig9");
-        let f = fig9(&opts);
+        let f = fig9(&quick_sweep(PaperPattern::Triangular, false));
         // quick sweep: 3 units x 2 policies.
         assert_eq!(f.tables[0].1.len(), 6);
         assert!(f.text.contains("non-predictive"));
@@ -300,27 +282,25 @@ mod tests {
 
     #[test]
     fn fig10_reports_winner_summary() {
-        let opts = FigureOptions::quick_for_tests("fig10");
-        let f = fig10(&opts);
+        let f = fig10(&quick_sweep(PaperPattern::Triangular, false));
         assert!(f.text.contains("predictive wins"));
         assert_eq!(f.tables[0].1.len(), 6);
     }
 
     #[test]
     fn fig13_extended_covers_more_units() {
-        let opts = FigureOptions::quick_for_tests("fig13");
-        let normal = fig13a(&opts, false);
-        let extended = fig13a(&opts, true);
+        let normal = fig13a(&quick_sweep(PaperPattern::Increasing, false));
+        let extended = fig13a(&quick_sweep(PaperPattern::Increasing, true));
         assert!(extended.tables[0].1.len() > normal.tables[0].1.len());
     }
 
     #[test]
-    fn sweep_cache_reuses_results_across_figures() {
-        // fig9 and fig10 share the triangular sweep: running both with the
-        // same options must agree on the (unit, policy) grid.
-        let opts = FigureOptions::quick_for_tests("cache");
-        let a = fig9(&opts);
-        let b = fig10(&opts);
-        assert_eq!(a.tables[0].1.len(), b.tables[0].1.len());
+    fn figures_built_from_one_sweep_share_its_grid() {
+        // fig9 and fig10 render the same triangular sweep: they must agree
+        // on the (unit, policy) grid, row for row.
+        let points = quick_sweep(PaperPattern::Triangular, false);
+        let (a, b) = (fig9(&points), fig10(&points));
+        assert_eq!(grid(&a).len(), 7, "header + 3 units x 2 policies");
+        assert_eq!(grid(&a), grid(&b));
     }
 }

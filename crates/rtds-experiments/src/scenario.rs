@@ -410,18 +410,6 @@ fn adapt(mut p: Box<dyn Pattern>) -> Box<dyn FnMut(u64) -> u64 + Send> {
     Box::new(move |period| p.tracks_at(period))
 }
 
-/// Convenience: run the same scenario under both paper policies.
-pub fn run_both_policies(
-    base: &ScenarioConfig,
-    predictor: &Predictor,
-) -> (ScenarioResult, ScenarioResult) {
-    let mut p = base.clone();
-    p.policy = PolicySpec::Predictive;
-    let mut n = base.clone();
-    n.policy = PolicySpec::NonPredictive;
-    (run_scenario(&p, predictor), run_scenario(&n, predictor))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,14 +499,5 @@ mod tests {
                 assert!((100..=1_000).contains(&v), "{name} out of range: {v}");
             }
         }
-    }
-
-    #[test]
-    fn run_both_policies_returns_matching_pair() {
-        let p = quick_predictor();
-        let base = quick_cfg(PolicySpec::Predictive, 5_000);
-        let (pred, nonp) = run_both_policies(&base, &p);
-        assert_eq!(pred.policy, "predictive");
-        assert_eq!(nonp.policy, "non-predictive");
     }
 }

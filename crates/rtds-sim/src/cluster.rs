@@ -136,7 +136,8 @@ pub trait ClusterApi {
     /// Installs the resource-management policy.
     fn set_controller(&mut self, controller: Box<dyn Controller>);
 
-    /// Enables structured tracing with the given event capacity.
+    /// Enables structured tracing with the given event capacity;
+    /// failure-class events are kept past it.
     fn enable_trace(&mut self, capacity: usize);
 
     /// Enables performance instrumentation for the coming run. The
@@ -714,7 +715,7 @@ impl ClusterApi for Cluster {
     }
 
     fn enable_trace(&mut self, capacity: usize) {
-        self.kernel.trace = Some(TraceSink::bounded(capacity));
+        self.kernel.trace = Some(TraceSink::retaining(capacity, TraceEvent::is_failure_class));
     }
 
     fn enable_perf(&mut self, alloc_probe: Option<fn() -> u64>) {

@@ -486,6 +486,27 @@ fn crash_mid_transmission_is_tolerated_and_counted() {
     assert!(out.metrics.periods.iter().any(|p| p.missed == Some(true)));
 }
 
+/// `enable_trace` builds a retaining sink: a node failure late in a
+/// run whose ordinary trace overflowed long before is still recorded.
+#[test]
+fn enable_trace_retains_late_failures_past_capacity() {
+    let mut cl = Cluster::new(config(10));
+    cl.enable_trace(8);
+    cl.add_task(tiny_task(&[(1.0, false, 0), (1.0, false, 1)]), Box::new(|_| 500));
+    cl.fail_node_at(NodeId(3), SimTime::from_secs(9));
+    let out = cl.run();
+    let trace = out.trace.expect("trace enabled");
+    assert!(trace.dropped() > 0, "ordinary events overflowed the capacity");
+    assert_eq!(
+        trace
+            .filtered(|e| matches!(e, TraceEvent::NodeFailed { node } if *node == NodeId(3)))
+            .count(),
+        1,
+        "late failure kept past capacity:\n{}",
+        trace.render()
+    );
+}
+
 #[test]
 fn crash_restart_rejoins_and_periods_recover() {
     // p1 hosts the second stage. Crash it at 2.5 s, restart at 4.5 s:

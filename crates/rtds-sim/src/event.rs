@@ -321,11 +321,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Time of the earliest pending (non-cancelled) event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
     /// `(time, seq)` key of the earliest pending event, if any. The key
     /// totally orders events: lets callers interleave elided virtual
     /// events (see [`alloc_seq`](Self::alloc_seq)) with real pops.
@@ -480,12 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_head() {
+    fn peek_key_skips_cancelled_head() {
         let mut q = EventQueue::new();
         let h = q.schedule(SimTime::from_micros(5), "x");
         q.schedule(SimTime::from_micros(9), "y");
         q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.peek_key().map(|(t, _)| t), Some(SimTime::from_micros(9)));
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl Job {
         debug_assert!(served <= self.remaining, "over-serving job {}", self.id);
         self.remaining -= served;
     }
-
-    /// Response time so far / total, given the completion instant.
-    pub fn response_time(&self, completed: SimTime) -> SimDuration {
-        completed.since(self.released)
-    }
 }
 
 #[cfg(test)]
@@ -154,21 +149,6 @@ mod tests {
             SimTime::ZERO,
         );
         j.serve(SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn response_time_is_completion_minus_release() {
-        let j = Job::new(
-            JobId(0),
-            NodeId(0),
-            stage_kind(),
-            SimDuration::from_millis(5),
-            SimTime::from_millis(100),
-        );
-        assert_eq!(
-            j.response_time(SimTime::from_millis(140)),
-            SimDuration::from_millis(40)
-        );
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::lane::LaneHeap;
 use crate::metrics::RunMetrics;
 use crate::perf::PerfState;
 use crate::rng::SimRng;
+use crate::sink::EventSink;
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceSink};
 

@@ -107,6 +107,63 @@ impl PerfReport {
         Some(a as f64 / self.control_epochs as f64)
     }
 
+    /// Folds another run's report into this one: counters and times are
+    /// summed, the queue's heap high-water mark is the larger of the
+    /// two, and allocation counts are summed where `other` has one.
+    pub fn merge(&mut self, other: &PerfReport) {
+        // Destructured without `..`: a new field must be merged here.
+        let PerfReport {
+            events,
+            ns,
+            queue:
+                QueueStats {
+                    scheduled,
+                    popped,
+                    cancelled,
+                    compactions,
+                    heap_high_water,
+                },
+            control_epochs,
+            controller_ns,
+            elided_dispatches,
+            elided_bg_polls,
+            elided_bg_dispatches,
+            lanes:
+                LaneStats {
+                    pushes,
+                    pops,
+                    rekeys,
+                    stale_discards,
+                },
+            epoch_allocs,
+            wall_ns,
+        } = other;
+        for (acc, x) in self.events.iter_mut().zip(events) {
+            *acc += x;
+        }
+        for (acc, x) in self.ns.iter_mut().zip(ns) {
+            *acc += x;
+        }
+        self.queue.scheduled += scheduled;
+        self.queue.popped += popped;
+        self.queue.cancelled += cancelled;
+        self.queue.compactions += compactions;
+        self.queue.heap_high_water = self.queue.heap_high_water.max(*heap_high_water);
+        self.control_epochs += control_epochs;
+        self.controller_ns += controller_ns;
+        self.elided_dispatches += elided_dispatches;
+        self.elided_bg_polls += elided_bg_polls;
+        self.elided_bg_dispatches += elided_bg_dispatches;
+        self.lanes.pushes += pushes;
+        self.lanes.pops += pops;
+        self.lanes.rekeys += rekeys;
+        self.lanes.stale_discards += stale_discards;
+        if let Some(a) = epoch_allocs {
+            *self.epoch_allocs.get_or_insert(0) += a;
+        }
+        self.wall_ns += wall_ns;
+    }
+
     /// Renders an aligned, human-readable table.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -207,6 +264,49 @@ impl PerfState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_sums_every_field_and_keeps_the_high_water_max() {
+        let report = |k: u64| PerfReport {
+            events: [k; N_PHASES],
+            ns: [10 * k; N_PHASES],
+            queue: QueueStats {
+                scheduled: k,
+                popped: 2 * k,
+                cancelled: 3 * k,
+                compactions: 4 * k,
+                heap_high_water: 5 * k as usize,
+            },
+            control_epochs: 6 * k,
+            controller_ns: 7 * k,
+            elided_dispatches: 8 * k,
+            elided_bg_polls: 9 * k,
+            elided_bg_dispatches: 11 * k,
+            lanes: LaneStats {
+                pushes: 12 * k,
+                pops: 13 * k,
+                rekeys: 14 * k,
+                stale_discards: 15 * k,
+            },
+            epoch_allocs: Some(16 * k),
+            wall_ns: 17 * k,
+        };
+        let mut a = report(1);
+        a.merge(&report(2));
+        let mut want = report(3);
+        want.queue.heap_high_water = 10; // max(5, 10), not 5 + 10
+        assert_eq!(format!("{a:?}"), format!("{want:?}"));
+
+        // No allocation count on either side stays `None`; one side's
+        // count survives a merge with a probe-less report.
+        let mut none = PerfReport::default();
+        none.merge(&PerfReport::default());
+        assert_eq!(none.epoch_allocs, None);
+        none.merge(&report(1));
+        assert_eq!(none.epoch_allocs, Some(16));
+        none.merge(&PerfReport::default());
+        assert_eq!(none.epoch_allocs, Some(16));
+    }
 
     #[test]
     fn render_includes_only_active_phases() {

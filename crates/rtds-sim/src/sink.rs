@@ -1,14 +1,11 @@
-//! Generalized event sinks.
+//! Event sinks.
 //!
-//! [`crate::trace::TraceSink`] predates this module and is one concrete
-//! consumer of simulator events; the observability layer needs the same
-//! shape for other event types (decision-audit records from the resource
-//! manager, most prominently) and other backends (streaming JSONL to a
-//! file instead of bounded in-memory buffering). [`EventSink`] is that
-//! generalization: anything that accepts `(time, event)` pairs. The
-//! simulator and managers write through the trait; what happens to the
-//! events — bounded buffering, streaming serialization, or discarding —
-//! is the sink's business.
+//! [`EventSink`] is anything that accepts `(time, event)` pairs. The
+//! simulator and the managers write through the trait; what happens to
+//! the events is the sink's business. Two backends exist:
+//! [`BoundedSink`], a bounded in-memory buffer for any event type (the
+//! run trace, [`crate::trace::TraceSink`], is one with failure-class
+//! retention), and [`JsonlSink`], which streams JSONL to a writer.
 //!
 //! Sinks are strictly opt-in and must never influence the simulation:
 //! implementations record and step aside. Nothing in this module draws
@@ -19,8 +16,8 @@ use crate::time::SimTime;
 
 /// A consumer of timestamped events.
 ///
-/// The contract mirrors [`crate::trace::TraceSink::record`]: `record` is
-/// called in nondecreasing time order, once per event, and must not fail
+/// `record` is called in nondecreasing time order, once per event, and
+/// must not fail
 /// loudly — a sink that hits an internal error (e.g. a full buffer or a
 /// broken writer) degrades by dropping events and exposing a counter,
 /// never by panicking into the simulation.
@@ -47,14 +44,17 @@ impl<E, S: EventSink<E>> EventSink<E> for std::sync::Arc<std::sync::Mutex<S>> {
     }
 }
 
-/// A bounded in-memory sink for any event type — the generic sibling of
-/// [`crate::trace::TraceSink`]. Events past `capacity` are counted and
-/// dropped so a runaway producer cannot OOM the run.
-#[derive(Debug, Default)]
+/// A bounded in-memory sink for any event type. Events past `capacity`
+/// are counted and dropped — newest first, since the buffer fills
+/// front-to-back — so a runaway producer cannot OOM the run. Events the
+/// sink's retention predicate accepts are kept even past capacity; they
+/// must be rare by nature for the bound to stay effective.
+#[derive(Debug, Clone)]
 pub struct BoundedSink<E> {
     events: Vec<(SimTime, E)>,
     capacity: usize,
     dropped: u64,
+    retain: fn(&E) -> bool,
 }
 
 impl<E> BoundedSink<E> {
@@ -63,17 +63,35 @@ impl<E> BoundedSink<E> {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn bounded(capacity: usize) -> Self {
+        Self::retaining(capacity, |_| false)
+    }
+
+    /// Creates a sink holding at most `capacity` events, plus every event
+    /// `retain` accepts regardless of capacity.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn retaining(capacity: usize, retain: fn(&E) -> bool) -> Self {
         assert!(capacity > 0, "zero-capacity event sink");
         BoundedSink {
             events: Vec::new(),
             capacity,
             dropped: 0,
+            retain,
         }
     }
 
     /// All recorded events in arrival order.
     pub fn events(&self) -> &[(SimTime, E)] {
         &self.events
+    }
+
+    /// Recorded events matching a predicate.
+    pub fn filtered<'a>(
+        &'a self,
+        mut pred: impl FnMut(&E) -> bool + 'a,
+    ) -> impl Iterator<Item = &'a (SimTime, E)> + 'a {
+        self.events.iter().filter(move |(_, e)| pred(e))
     }
 
     /// Consumes the sink, yielding its events.
@@ -89,7 +107,7 @@ impl<E> BoundedSink<E> {
 
 impl<E> EventSink<E> for BoundedSink<E> {
     fn record(&mut self, now: SimTime, event: E) {
-        if self.events.len() < self.capacity {
+        if self.events.len() < self.capacity || (self.retain)(&event) {
             self.events.push((now, event));
         } else {
             self.dropped += 1;

@@ -5,10 +5,13 @@
 //! completion, message delivery, placement change, shedding, node
 //! failure). Tests assert against traces instead of printf-debugging, and
 //! the `aaw_mission` example renders one. Disabled by default — a
-//! [`TraceSink`] is opt-in and bounded.
+//! [`TraceSink`] is opt-in and bounded: it is the generic
+//! [`BoundedSink`] over [`TraceEvent`], built with
+//! [`TraceEvent::is_failure_class`] as its retention predicate.
 
 use crate::ids::{MsgId, NodeId, StageId};
-use crate::time::{SimDuration, SimTime};
+use crate::sink::BoundedSink;
+use crate::time::SimDuration;
 
 /// One traced state change.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +105,8 @@ impl TraceEvent {
     /// True for events that witness a failure or a lost deadline: sheds,
     /// missed instances, node failures/restarts, and terminal message
     /// losses. These are what post-mortems and tests care most about, so
-    /// a full [`TraceSink`] keeps them even past its capacity.
+    /// this is the retention predicate of the run trace: a full
+    /// [`TraceSink`] keeps them even past its capacity.
     /// `Retransmit` and `MessageDuplicated` are *recovered* anomalies and
     /// deliberately excluded — under a lossy bus they are high-volume and
     /// would defeat the bound.
@@ -122,65 +126,23 @@ impl TraceEvent {
 /// A bounded in-memory trace sink.
 ///
 /// Once `capacity` ordinary events have been recorded, further ordinary
-/// events are counted in [`TraceSink::dropped`] and discarded — newest
-/// first, since the buffer fills front-to-back. Failure-class events
-/// ([`TraceEvent::is_failure_class`]) are exempt from the bound: a crash
-/// or deadline miss at the end of a long run must not vanish because the
-/// buffer filled with routine releases hours earlier. Failure events are
-/// rare by nature (bounded by fault-plan entries and released instances,
-/// not by simulated time), so the memory bound stays effective.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink {
-    events: Vec<(SimTime, TraceEvent)>,
-    capacity: usize,
-    dropped: u64,
-}
+/// events are counted in [`BoundedSink::dropped`] and discarded.
+/// Failure-class events ([`TraceEvent::is_failure_class`]) are exempt
+/// from the bound when the sink is built with
+/// `BoundedSink::retaining(capacity, TraceEvent::is_failure_class)`, as
+/// `Cluster::enable_trace` does: a crash or deadline miss at the end of a
+/// long run must not vanish because the buffer filled with routine
+/// releases hours earlier. Failure events are rare by nature (bounded by
+/// fault-plan entries and released instances, not by simulated time), so
+/// the memory bound stays effective.
+pub type TraceSink = BoundedSink<TraceEvent>;
 
-impl TraceSink {
-    /// Creates a sink holding at most `capacity` ordinary events; further
-    /// ordinary events are counted but dropped (the run never OOMs
-    /// because of tracing). Failure-class events are always retained.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "zero-capacity trace sink");
-        TraceSink {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Records an event at `now`.
-    pub fn record(&mut self, now: SimTime, event: TraceEvent) {
-        if self.events.len() < self.capacity || event.is_failure_class() {
-            self.events.push((now, event));
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// All recorded events in order.
-    pub fn events(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
-    }
-
-    /// Number of events dropped after the sink filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Events matching a predicate.
-    pub fn filtered<'a>(
-        &'a self,
-        mut pred: impl FnMut(&TraceEvent) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a (SimTime, TraceEvent)> + 'a {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
-
+impl BoundedSink<TraceEvent> {
     /// Renders a human-readable log.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (t, e) in &self.events {
+        for (t, e) in self.events() {
             let _ = match e {
                 TraceEvent::Release { instance, tracks } => {
                     writeln!(out, "{t} release   #{instance} tracks={tracks}")
@@ -219,18 +181,10 @@ impl TraceSink {
                 }
             };
         }
-        if self.dropped > 0 {
-            let _ = writeln!(out, "({} further events dropped)", self.dropped);
+        if self.dropped() > 0 {
+            let _ = writeln!(out, "({} further events dropped)", self.dropped());
         }
         out
-    }
-}
-
-/// The bounded trace sink is one concrete [`crate::sink::EventSink`];
-/// the JSONL writer in the same module is another.
-impl crate::sink::EventSink<TraceEvent> for TraceSink {
-    fn record(&mut self, now: SimTime, event: TraceEvent) {
-        TraceSink::record(self, now, event);
     }
 }
 
@@ -238,6 +192,12 @@ impl crate::sink::EventSink<TraceEvent> for TraceSink {
 mod tests {
     use super::*;
     use crate::ids::{SubtaskIdx, TaskId};
+    use crate::sink::EventSink;
+    use crate::time::SimTime;
+
+    fn retaining(capacity: usize) -> TraceSink {
+        TraceSink::retaining(capacity, TraceEvent::is_failure_class)
+    }
 
     fn stage() -> StageId {
         StageId::new(TaskId(0), SubtaskIdx(2))
@@ -245,7 +205,7 @@ mod tests {
 
     #[test]
     fn records_in_order() {
-        let mut s = TraceSink::bounded(10);
+        let mut s = retaining(10);
         s.record(SimTime::from_millis(1), TraceEvent::Release { instance: 0, tracks: 7 });
         s.record(
             SimTime::from_millis(2),
@@ -257,12 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_sink_drops_overflow_without_losing_count() {
-        let mut s = TraceSink::bounded(2);
+    fn render_reports_dropped_count() {
+        let mut s = retaining(2);
         for i in 0..5 {
             s.record(SimTime::from_millis(i), TraceEvent::Release { instance: i, tracks: 1 });
         }
-        assert_eq!(s.events().len(), 2);
         assert_eq!(s.dropped(), 3);
         assert!(s.render().contains("3 further events dropped"));
     }
@@ -272,7 +231,7 @@ mod tests {
         // Regression: a full sink used to drop the *newest* events
         // unconditionally, so end-of-run failures — exactly what
         // post-mortems need — vanished first.
-        let mut s = TraceSink::bounded(2);
+        let mut s = retaining(2);
         for i in 0..4 {
             s.record(SimTime::from_millis(i), TraceEvent::Release { instance: i, tracks: 1 });
         }
@@ -302,7 +261,7 @@ mod tests {
 
     #[test]
     fn filtered_selects_matching_kinds() {
-        let mut s = TraceSink::bounded(16);
+        let mut s = retaining(16);
         s.record(SimTime::ZERO, TraceEvent::Release { instance: 0, tracks: 1 });
         s.record(SimTime::ZERO, TraceEvent::NodeFailed { node: NodeId(3) });
         s.record(SimTime::ZERO, TraceEvent::Release { instance: 1, tracks: 2 });
@@ -314,7 +273,7 @@ mod tests {
 
     #[test]
     fn render_is_line_oriented_and_labeled() {
-        let mut s = TraceSink::bounded(8);
+        let mut s = retaining(8);
         s.record(
             SimTime::from_millis(5),
             TraceEvent::InstanceDone {
@@ -337,14 +296,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_rejected() {
-        let _ = TraceSink::bounded(0);
-    }
-
-    #[test]
     fn failure_realism_events_render_distinctly() {
-        let mut s = TraceSink::bounded(8);
+        let mut s = retaining(8);
         s.record(SimTime::ZERO, TraceEvent::NodeRestarted { node: NodeId(2) });
         s.record(SimTime::ZERO, TraceEvent::MessageLost { msg: MsgId(7), dst: NodeId(1) });
         s.record(SimTime::ZERO, TraceEvent::MessageDropped { msg: MsgId(8) });

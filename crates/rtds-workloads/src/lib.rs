@@ -365,12 +365,6 @@ impl Pattern for Composite {
     }
 }
 
-/// Adapts any pattern into the `FnMut(u64) -> u64` closure the simulator's
-/// `add_task` expects.
-pub fn into_workload_fn<P: Pattern + 'static>(mut p: P) -> Box<dyn FnMut(u64) -> u64 + Send> {
-    Box::new(move |period| p.tracks_at(period))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,15 +490,6 @@ mod tests {
         let mut b = RandomWalk::new(range(), 100, 7);
         let sequential = series(&mut b, 251)[250];
         assert_eq!(direct, sequential);
-    }
-
-    #[test]
-    fn workload_fn_adapter_matches_pattern() {
-        let mut f = into_workload_fn(Triangular::new(range(), 50));
-        let mut p = Triangular::new(range(), 50);
-        for i in 0..120 {
-            assert_eq!(f(i), p.tracks_at(i));
-        }
     }
 
     #[test]

@@ -485,7 +485,9 @@ fn combined_metric_is_monotone() {
 /// and on failure the best-effort set is the whole cluster.
 #[test]
 fn predictive_replication_set_invariants() {
-    use rtds::arm::predictive::{replicate_subtask, ReplicateFailure, ReplicationRequest};
+    use rtds::arm::predictive::{
+        replicate_subtask, ProcessorChoice, ReplicateFailure, ReplicationRequest,
+    };
     use rtds::experiments::models::quick_predictor;
     let mut g = Gen::new(26);
     let predictor = quick_predictor();
@@ -504,7 +506,7 @@ fn predictive_replication_set_invariants() {
             budget,
             slack: budget.mul_f64(0.2),
         };
-        let set = match replicate_subtask(&req, &predictor) {
+        let set = match replicate_subtask(&req, &predictor, ProcessorChoice::LeastUtilized, None) {
             Ok(ps) => ps,
             Err(ReplicateFailure::OutOfProcessors { best_effort, .. }) => {
                 assert_eq!(best_effort.len(), 6);
