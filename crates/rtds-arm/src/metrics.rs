@@ -16,11 +16,9 @@ use rtds_sim::metrics::RunSummary;
 /// # Panics
 /// Panics if `n_nodes == 0`.
 pub fn combined_metric(summary: &RunSummary, n_nodes: usize) -> f64 {
-    assert!(n_nodes > 0, "cluster has no processors");
-    summary.missed_deadline_pct
-        + summary.avg_cpu_util_pct
-        + summary.avg_net_util_pct
-        + 100.0 * summary.avg_replicas / n_nodes as f64
+    // Unit weights multiply exactly and keep the summation order, so
+    // this is bit-identical to the unweighted sum.
+    combined_metric_weighted(summary, n_nodes, &MetricWeights::paper())
 }
 
 /// Weights for a generalized combined metric. The paper weights the four
@@ -106,17 +104,13 @@ pub struct CombinedBreakdown {
 
 /// Computes the metric with its breakdown.
 pub fn combined_breakdown(summary: &RunSummary, n_nodes: usize) -> CombinedBreakdown {
-    assert!(n_nodes > 0, "cluster has no processors");
-    let replica_use_pct = 100.0 * summary.avg_replicas / n_nodes as f64;
+    let combined = combined_metric(summary, n_nodes);
     CombinedBreakdown {
         missed_pct: summary.missed_deadline_pct,
         cpu_pct: summary.avg_cpu_util_pct,
         net_pct: summary.avg_net_util_pct,
-        replica_use_pct,
-        combined: summary.missed_deadline_pct
-            + summary.avg_cpu_util_pct
-            + summary.avg_net_util_pct
-            + replica_use_pct,
+        replica_use_pct: 100.0 * summary.avg_replicas / n_nodes as f64,
+        combined,
     }
 }
 
@@ -174,13 +168,23 @@ mod tests {
 
     #[test]
     fn paper_weights_reduce_to_unweighted_metric() {
-        let s = summary(7.0, 33.0, 12.0, 2.4);
-        assert!(
-            (combined_metric_weighted(&s, 6, &MetricWeights::paper())
-                - combined_metric(&s, 6))
-            .abs()
-                < 1e-12
-        );
+        // Bit-for-bit, not just approximately: the paper metric and the
+        // breakdown are derived from the weighted form, and the figures
+        // print them at full precision.
+        for (md, cpu, net, r, n) in [
+            (7.0, 33.0, 12.0, 2.4, 6),
+            (0.1, 41.37, 0.3, 1.0 / 3.0, 6),
+            (12.5, 17.000_000_1, 9.81, 2.618_034, 7),
+        ] {
+            let s = summary(md, cpu, net, r);
+            let plain = md + cpu + net + 100.0 * r / n as f64;
+            assert_eq!(combined_metric(&s, n).to_bits(), plain.to_bits());
+            assert_eq!(combined_breakdown(&s, n).combined.to_bits(), plain.to_bits());
+            assert_eq!(
+                combined_metric_weighted(&s, n, &MetricWeights::paper()).to_bits(),
+                plain.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -16,33 +16,27 @@ use rtds_arm::manager::ResourceManager;
 use rtds_arm::metrics::combined_breakdown;
 use rtds_arm::predictive::ProcessorChoice;
 use rtds_dynbench::app::aaw_task;
-use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
-use rtds_sim::ids::{LoadGenId, NodeId};
-use rtds_sim::load::PoissonLoad;
+use rtds_sim::cluster::ClusterApi;
 use rtds_sim::time::SimDuration;
 use rtds_workloads::{Pattern, Triangular, WorkloadRange};
 
 use super::{FigureOptions, FigureOutput};
 use crate::report::{fmt_f, Table};
+use crate::scenario::{paper_cluster, run_cluster};
 
 fn run_variant(cfg: ArmConfig, opts: &FigureOptions) -> rtds_sim::metrics::RunSummary {
     let n_periods = if opts.quick { 40 } else { 160 };
-    let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
+    let mut cluster = paper_cluster(
         0xAB1A7E,
         SimDuration::from_secs(n_periods),
-    ));
+        0.10,
+        opts.bg_fast_path,
+        |_| {},
+    );
     let mut pattern = Triangular::new(WorkloadRange::new(500, 13_000), n_periods / 8);
     cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-    for n in 0..6 {
-        cluster.add_load(Box::new(PoissonLoad::with_utilization(
-            LoadGenId(n),
-            NodeId(n),
-            0.10,
-            SimDuration::from_millis(2),
-        )));
-    }
     cluster.set_controller(Box::new(ResourceManager::new(cfg, opts.predictor())));
-    cluster.run().metrics.summarize(&[2, 4])
+    run_cluster(cluster).metrics.summarize(&[2, 4])
 }
 
 /// Runs every ablation variant and renders the comparison table.

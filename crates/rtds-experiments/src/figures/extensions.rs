@@ -22,9 +22,8 @@ use rtds_arm::predictor::Predictor;
 use rtds_dynbench::app::{aaw_task, surveillance_task};
 use rtds_regression::buffer::{BufferDelayModel, CommDelayModel};
 use rtds_regression::model::ExecLatencyModel;
-use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
-use rtds_sim::ids::{LoadGenId, NodeId, TaskId};
-use rtds_sim::load::PoissonLoad;
+use rtds_sim::cluster::ClusterApi;
+use rtds_sim::ids::TaskId;
 use rtds_sim::sched::SchedulerKind;
 use rtds_sim::time::SimDuration;
 use rtds_workloads::{Pattern, Triangular, WorkloadRange};
@@ -32,7 +31,9 @@ use rtds_workloads::{Pattern, Triangular, WorkloadRange};
 use super::{FigureOptions, FigureOutput};
 use crate::models::LINK_BPS;
 use crate::report::{fmt_f, Table};
-use crate::scenario::{run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig};
+use crate::scenario::{
+    paper_cluster, run_cluster, run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig,
+};
 
 fn base_scenario(opts: &FigureOptions, policy: PolicySpec, max: u64) -> ScenarioConfig {
     let n = if opts.quick { 40 } else { 160 };
@@ -108,10 +109,13 @@ pub fn ext_multitask(opts: &FigureOptions) -> FigureOutput {
         "avg_net_pct",
     ]);
     for (label, managed) in [("unmanaged", false), ("predictive x2", true)] {
-        let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
+        let mut cluster = paper_cluster(
             0x2A5C,
             SimDuration::from_secs(n_periods),
-        ));
+            0.08,
+            opts.bg_fast_path,
+            |_| {},
+        );
         let aaw = aaw_task();
         let surv = surveillance_task(TaskId(1));
         let mut p1 = Triangular::new(WorkloadRange::new(500, 11_000), n_periods / 8);
@@ -120,14 +124,6 @@ pub fn ext_multitask(opts: &FigureOptions) -> FigureOutput {
         let half = n_periods / 8;
         cluster.add_task(aaw.clone(), Box::new(move |i| p1.tracks_at(i)));
         cluster.add_task(surv.clone(), Box::new(move |i| p2.tracks_at(i + half)));
-        for nd in 0..6 {
-            cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                LoadGenId(nd),
-                NodeId(nd),
-                0.08,
-                SimDuration::from_millis(2),
-            )));
-        }
         if managed {
             let m0 = ResourceManager::new(
                 ArmConfig::paper_predictive(),
@@ -140,7 +136,7 @@ pub fn ext_multitask(opts: &FigureOptions) -> FigureOutput {
             .for_task(TaskId(1));
             cluster.set_controller(Box::new(CompositeManager::new(vec![m0, m1])));
         }
-        let out = cluster.run();
+        let out = run_cluster(cluster);
         let split = |task: u64| {
             let recs: Vec<_> = out
                 .metrics
@@ -350,10 +346,13 @@ pub fn ext_control_latency(opts: &FigureOptions) -> FigureOutput {
         ] {
             let mut arm = base;
             arm.act_every = act_every;
-            let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
+            let mut cluster = paper_cluster(
                 0xC7A ^ u64::from(act_every),
                 SimDuration::from_secs(n),
-            ));
+                0.10,
+                opts.bg_fast_path,
+                |_| {},
+            );
             // A square wave: instantaneous min->max jumps punish slow
             // control far harder than the paper's ramps (whose per-period
             // deltas a per-period loop absorbs without misses).
@@ -364,16 +363,8 @@ pub fn ext_control_latency(opts: &FigureOptions) -> FigureOutput {
                 phase,
             );
             cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-            for nd in 0..6 {
-                cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                    LoadGenId(nd),
-                    NodeId(nd),
-                    0.10,
-                    SimDuration::from_millis(2),
-                )));
-            }
             cluster.set_controller(Box::new(RM::new(arm, opts.predictor())));
-            let s = cluster.run().metrics.summarize(&[2, 4]);
+            let s = run_cluster(cluster).metrics.summarize(&[2, 4]);
             table.row(vec![
                 act_every.to_string(),
                 policy.name().to_string(),
@@ -468,25 +459,23 @@ pub fn ext_asynchrony(opts: &FigureOptions) -> FigureOutput {
     ]);
     for (alabel, jitter_us) in [("periodic", 0u64), ("jittered <=150ms", 150_000)] {
         for (clabel, clock) in [("perfect", ClockConfig::perfect()), ("LAN skew", ClockConfig::lan_default())] {
-            let mut ccfg = ClusterConfig::paper_baseline(0xA57, SimDuration::from_secs(n));
-            ccfg.release_jitter_us = jitter_us;
-            ccfg.clock = clock;
-            let mut cluster = Cluster::new(ccfg);
+            let mut cluster = paper_cluster(
+                0xA57,
+                SimDuration::from_secs(n),
+                0.10,
+                opts.bg_fast_path,
+                |c| {
+                    c.release_jitter_us = jitter_us;
+                    c.clock = clock;
+                },
+            );
             let mut pattern = Triangular::new(WorkloadRange::new(500, 13_000), n / 8);
             cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-            for nd in 0..6 {
-                cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                    LoadGenId(nd),
-                    NodeId(nd),
-                    0.10,
-                    SimDuration::from_millis(2),
-                )));
-            }
             cluster.set_controller(Box::new(ResourceManager::new(
                 ArmConfig::paper_predictive(),
                 opts.predictor(),
             )));
-            let out = cluster.run();
+            let out = run_cluster(cluster);
             let s = out.metrics.summarize(&[2, 4]);
             let p95 = out
                 .metrics
@@ -673,10 +662,13 @@ pub fn ext_decentralized(opts: &FigureOptions) -> FigureOutput {
         "combined",
     ]);
     let run = |controller: Box<dyn rtds_sim::control::Controller>, square: bool| {
-        let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
+        let mut cluster = paper_cluster(
             0xDEC0u64,
             SimDuration::from_secs(n),
-        ));
+            0.10,
+            opts.bg_fast_path,
+            |_| {},
+        );
         let workload: Box<dyn FnMut(u64) -> u64 + Send> = if square {
             let mut p = rtds_workloads::Step::new(
                 WorkloadRange::new(500, 15_500),
@@ -689,16 +681,8 @@ pub fn ext_decentralized(opts: &FigureOptions) -> FigureOutput {
             Box::new(move |i| p.tracks_at(i))
         };
         cluster.add_task(aaw_task(), workload);
-        for nd in 0..6 {
-            cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                LoadGenId(nd),
-                NodeId(nd),
-                0.10,
-                SimDuration::from_millis(2),
-            )));
-        }
         cluster.set_controller(controller);
-        let s = cluster.run().metrics.summarize(&[2, 4]);
+        let s = run_cluster(cluster).metrics.summarize(&[2, 4]);
         (s, rtds_arm::metrics::combined_breakdown(&s, 6).combined)
     };
     for square in [false, true] {

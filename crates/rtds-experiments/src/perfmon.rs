@@ -4,7 +4,7 @@
 //! threading a perf flag through every call site would ripple the
 //! scenario API for a purely diagnostic concern. Instead this module
 //! holds one process-global switch plus an aggregate: when enabled,
-//! every [`crate::scenario::run_scenario`] call instruments its cluster
+//! every [`crate::scenario::run_cluster`] call instruments its cluster
 //! and folds the resulting [`PerfReport`] into the aggregate, which the
 //! binary prints at exit.
 //!

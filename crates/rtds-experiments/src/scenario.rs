@@ -4,7 +4,10 @@
 //! 100 Mbps Ethernet, the 5-subtask AAW task, 990 ms deadline) + a
 //! workload pattern + a resource-management policy + ambient background
 //! load. [`run_scenario`] builds the cluster, runs it, and reduces the
-//! result to the four paper metrics plus the combined metric.
+//! result to the four paper metrics plus the combined metric. Every
+//! experiment cluster, including the hand-assembled ones of the
+//! extensions and ablations, is built by [`paper_cluster`] and run by
+//! [`run_cluster`], so `--no-bg-ff` and `--perf` reach all of them.
 
 use std::sync::{Arc, Mutex};
 
@@ -14,8 +17,7 @@ use rtds_arm::manager::ResourceManager;
 use rtds_arm::metrics::{combined_breakdown, CombinedBreakdown};
 use rtds_arm::predictor::Predictor;
 use rtds_dynbench::app::{aaw_task, EVAL_DECIDE_STAGE, FILTER_STAGE};
-use rtds_sim::clock::ClockConfig;
-use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
+use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig, RunOutcome};
 use rtds_sim::ids::{LoadGenId, NodeId};
 use rtds_sim::load::PoissonLoad;
 use rtds_sim::metrics::{RunMetrics, RunSummary};
@@ -299,31 +301,20 @@ pub fn replicable_stage_indices() -> [usize; 2] {
 pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResult {
     assert!(cfg.n_periods > 0, "empty scenario");
     assert!((0.0..1.0).contains(&cfg.ambient_util), "ambient must be in [0,1)");
-    let horizon = SimDuration::from_secs(cfg.n_periods);
-    let mut cluster_cfg = ClusterConfig::paper_baseline(cfg.seed, horizon);
-    cluster_cfg.clock = ClockConfig::lan_default();
-    cluster_cfg.scheduler = cfg.scheduler;
-    cluster_cfg.bus.drop_prob = cfg.faults.drop_prob;
-    cluster_cfg.bus.dup_prob = cfg.faults.dup_prob;
-    cluster_cfg.bus.retx_timeout_us = cfg.faults.retx_timeout_us;
-    cluster_cfg.bus.jam = cfg.faults.jam;
-    cluster_cfg.bg_fast_path = cfg.bg_fast_path;
-    let mut cluster = Cluster::new(cluster_cfg);
-
-    let task = aaw_task();
-    let pattern = cfg.pattern.build(cfg.workload);
-    cluster.add_task(task, adapt(pattern));
-
-    if cfg.ambient_util > 0.0 {
-        for n in 0..6 {
-            cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                LoadGenId(n),
-                NodeId(n),
-                cfg.ambient_util,
-                SimDuration::from_millis(2),
-            )));
-        }
-    }
+    let mut cluster = paper_cluster(
+        cfg.seed,
+        SimDuration::from_secs(cfg.n_periods),
+        cfg.ambient_util,
+        cfg.bg_fast_path,
+        |c| {
+            c.scheduler = cfg.scheduler;
+            c.bus.drop_prob = cfg.faults.drop_prob;
+            c.bus.dup_prob = cfg.faults.dup_prob;
+            c.bus.retx_timeout_us = cfg.faults.retx_timeout_us;
+            c.bus.jam = cfg.faults.jam;
+        },
+    );
+    cluster.add_task(aaw_task(), adapt(cfg.pattern.build(cfg.workload)));
 
     if let Some(capacity) = cfg.observe.trace_capacity {
         cluster.enable_trace(capacity);
@@ -372,13 +363,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
         );
     }
 
-    if crate::perfmon::enabled() {
-        cluster.enable_perf(crate::perfmon::probe());
-    }
-    let outcome = cluster.run();
-    if let Some(p) = &outcome.perf {
-        crate::perfmon::record(p);
-    }
+    let outcome = run_cluster(cluster);
     let summary = outcome
         .metrics
         .summarize(&replicable_stage_indices());
@@ -404,6 +389,49 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
         trace: outcome.trace,
         decisions,
     }
+}
+
+/// Builds the paper's Table 1 cluster (`ClusterConfig::paper_baseline`)
+/// for `seed` and `horizon` with `ambient_util` Poisson background load
+/// on every node (none at 0). `tune` adjusts the rest of the cluster
+/// configuration; the background-load fast path is then set to
+/// `bg_fast_path`, so every experiment honours `--no-bg-ff`.
+pub fn paper_cluster(
+    seed: u64,
+    horizon: SimDuration,
+    ambient_util: f64,
+    bg_fast_path: bool,
+    tune: impl FnOnce(&mut ClusterConfig),
+) -> Cluster {
+    let mut cluster_cfg = ClusterConfig::paper_baseline(seed, horizon);
+    tune(&mut cluster_cfg);
+    cluster_cfg.bg_fast_path = bg_fast_path;
+    let n_nodes = cluster_cfg.n_nodes as u32;
+    let mut cluster = Cluster::new(cluster_cfg);
+    if ambient_util > 0.0 {
+        for n in 0..n_nodes {
+            cluster.add_load(Box::new(PoissonLoad::with_utilization(
+                LoadGenId(n),
+                NodeId(n),
+                ambient_util,
+                SimDuration::from_millis(2),
+            )));
+        }
+    }
+    cluster
+}
+
+/// Runs `cluster` to its horizon. Under `--perf` the run is instrumented
+/// and its report folded into the [`crate::perfmon`] aggregate.
+pub fn run_cluster(mut cluster: Cluster) -> RunOutcome {
+    if crate::perfmon::enabled() {
+        cluster.enable_perf(crate::perfmon::probe());
+    }
+    let outcome = cluster.run();
+    if let Some(p) = &outcome.perf {
+        crate::perfmon::record(p);
+    }
+    outcome
 }
 
 fn adapt(mut p: Box<dyn Pattern>) -> Box<dyn FnMut(u64) -> u64 + Send> {
@@ -498,6 +526,21 @@ mod tests {
                 let v = p.tracks_at(i);
                 assert!((100..=1_000).contains(&v), "{name} out of range: {v}");
             }
+        }
+    }
+
+    #[test]
+    fn paper_cluster_passes_the_fast_path_flag_through() {
+        for fast in [false, true] {
+            let mut cluster = paper_cluster(7, SimDuration::from_secs(5), 0.10, fast, |_| {});
+            cluster.enable_perf(None);
+            let perf = cluster.run().perf.expect("perf was enabled");
+            assert_eq!(
+                perf.elided_bg_polls > 0,
+                fast,
+                "bg_fast_path = {fast}: {} elided background polls",
+                perf.elided_bg_polls
+            );
         }
     }
 }

@@ -216,7 +216,7 @@ impl Cluster {
         // Construction order is part of the byte-identity contract: the
         // kernel seeds the RNG and draws the clock model first (the only
         // construction-time draws), exactly as the monolith did.
-        let dispatch = DispatchEngine::new(config.n_nodes, &config.scheduler, config.bg_fast_path);
+        let dispatch = DispatchEngine::new(config.n_nodes, &config.scheduler);
         let net = NetEngine::new(config.bus);
         let kernel = SimKernel::new(config);
         Cluster {
@@ -252,7 +252,7 @@ impl Cluster {
         }
         for g in 0..self.load.gens.len() {
             let at = self.load.gens[g].first_at(&mut self.kernel.rng);
-            if self.dispatch.bg_ff {
+            if self.kernel.config.bg_fast_path {
                 // Fast path: the poll lives on a virtual lane. Its seq is
                 // allocated exactly where the slow path would schedule it,
                 // so tie-breaking stays bit-identical.
@@ -379,7 +379,7 @@ impl Cluster {
         self.dispatch.lanes[i] = None;
         self.kernel.queue.advance_now(t);
         let node = self.dispatch.nodes[i].id;
-        if self.dispatch.bg_ff && self.dispatch.stage_jobs[i] == 0 {
+        if self.kernel.config.bg_fast_path && self.dispatch.stage_jobs[i] == 0 {
             // Background-only node: fired directly through the unmodified
             // handler — the whole round-trip leaves the event loop, not
             // just the heap traffic.

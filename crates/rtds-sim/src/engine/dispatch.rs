@@ -95,13 +95,11 @@ pub(crate) struct DispatchEngine {
     /// stays background-only, else to a real `Dispatch` in the queue
     /// ([`Self::materialize_lane`]).
     pub lanes: Vec<Option<DispatchLane>>,
-    /// Cached `config.bg_fast_path`.
-    pub bg_ff: bool,
 }
 
 impl DispatchEngine {
     /// Builds `n_nodes` homogeneous nodes under `scheduler`.
-    pub fn new(n_nodes: usize, scheduler: &SchedulerKind, bg_ff: bool) -> Self {
+    pub fn new(n_nodes: usize, scheduler: &SchedulerKind) -> Self {
         let nodes = (0..n_nodes)
             .map(|i| Node::new(NodeId::from_index(i), scheduler.build()))
             .collect();
@@ -111,7 +109,6 @@ impl DispatchEngine {
             free_jobs: Vec::new(),
             stage_jobs: vec![0; n_nodes],
             lanes: vec![None; n_nodes],
-            bg_ff,
         }
     }
 
@@ -149,7 +146,7 @@ impl DispatchEngine {
         if kind.is_stage() {
             self.stage_jobs[node.index()] += 1;
         }
-        if self.bg_ff && self.stage_jobs[node.index()] == 0 {
+        if k.config.bg_fast_path && self.stage_jobs[node.index()] == 0 {
             // Still background-only: the running job (if chained) is no
             // longer alone, but its truncated slice boundary can stay
             // virtual — same key, same heap entry.
@@ -327,7 +324,7 @@ impl DispatchEngine {
         // Fast path, background-only node: the coming slice boundary has
         // no external observer, so it is carried on the boundary lane
         // instead of the heap (the chain arm below is already heap-free).
-        let bg_only = self.bg_ff && self.stage_jobs[node.index()] == 0;
+        let bg_only = k.config.bg_fast_path && self.stage_jobs[node.index()] == 0;
         let (slice_end, handle) = match quantum {
             // A lone job spanning several quanta: every intermediate
             // dispatch would requeue into an empty queue and pick the

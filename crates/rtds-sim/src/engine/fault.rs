@@ -161,7 +161,7 @@ mod tests {
 
     fn harness() -> (SimKernel, DispatchEngine, NetEngine, LoadEngine, TaskTable, FaultEngine) {
         let cfg = ClusterConfig::paper_baseline(7, SimDuration::from_secs(10));
-        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, cfg.bg_fast_path);
+        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler);
         let net = NetEngine::new(cfg.bus);
         let k = SimKernel::new(cfg);
         let mut load = LoadEngine::default();

@@ -388,7 +388,7 @@ mod tests {
     fn harness(bus: BusConfig) -> (SimKernel, DispatchEngine, NetEngine, TaskTable) {
         let mut cfg = ClusterConfig::paper_baseline(7, SimDuration::from_secs(10));
         cfg.bus = bus;
-        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, cfg.bg_fast_path);
+        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler);
         let net = NetEngine::new(cfg.bus);
         let k = SimKernel::new(cfg);
         let mut tasks = TaskTable::default();

@@ -322,7 +322,7 @@ mod tests {
 
         let cfg = ClusterConfig::paper_baseline(7, SimDuration::from_secs(10));
         assert!(cfg.bg_fast_path, "the hand-off is a fast-path transition");
-        let mut d = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, cfg.bg_fast_path);
+        let mut d = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler);
         let mut k = SimKernel::new(cfg);
         let mut tasks = TaskTable::default();
         let bg = JobKind::Background(LoadGenId(0));

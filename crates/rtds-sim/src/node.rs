@@ -1,13 +1,13 @@
 //! Processor nodes.
 //!
 //! A [`Node`] is one homogeneous processor with private memory (paper §3,
-//! item 12): a CPU scheduler, at most one running job, and busy-time
+//! item 12): a ready queue, at most one running job, and busy-time
 //! accounting from which both the run-level average CPU utilization metric
 //! and the controller-visible utilization estimate `ut(p, t)` are derived.
 
 use crate::event::EventHandle;
 use crate::ids::{JobId, NodeId};
-use crate::sched::CpuScheduler;
+use crate::sched::ReadyQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// The job currently holding the CPU and the slice it was granted.
@@ -33,8 +33,8 @@ pub struct Running {
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
-    /// Ready-queue policy.
-    pub sched: Box<dyn CpuScheduler>,
+    /// Ready queue, under the cluster's scheduling policy.
+    pub sched: ReadyQueue,
     /// Currently running job, if any.
     pub running: Option<Running>,
     /// False once the node has been killed by fault injection; a dead
@@ -69,8 +69,8 @@ impl Node {
     /// post-restart zeros, not by real load.
     pub const COLD_SAMPLES: u32 = 3;
 
-    /// Creates an idle node with the given scheduling policy.
-    pub fn new(id: NodeId, sched: Box<dyn CpuScheduler>) -> Self {
+    /// Creates an idle node with the given ready queue.
+    pub fn new(id: NodeId, sched: ReadyQueue) -> Self {
         Node {
             id,
             sched,
