@@ -4,7 +4,9 @@
 //! 100 Mbps Ethernet, the 5-subtask AAW task, 990 ms deadline) + a
 //! workload pattern + a resource-management policy + ambient background
 //! load. [`run_scenario`] builds the cluster, runs it, and reduces the
-//! result to the four paper metrics plus the combined metric. Every
+//! result to the four paper metrics plus the combined metric;
+//! [`run_policies`] runs one scenario under several policies as one
+//! group run that shares the simulation until their decisions differ. Every
 //! experiment cluster, including the hand-assembled ones of the
 //! extensions and ablations, is built by [`paper_cluster`] and run by
 //! [`run_cluster`], so `--no-bg-ff` and `--perf` reach all of them.
@@ -17,7 +19,8 @@ use rtds_arm::manager::ResourceManager;
 use rtds_arm::metrics::{combined_breakdown, CombinedBreakdown};
 use rtds_arm::predictor::Predictor;
 use rtds_dynbench::app::{aaw_task, EVAL_DECIDE_STAGE, FILTER_STAGE};
-use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig, RunOutcome};
+use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig, RunOutcome, WorkloadFn};
+use rtds_sim::control::{Controller, NullController};
 use rtds_sim::ids::{LoadGenId, NodeId};
 use rtds_sim::load::PoissonLoad;
 use rtds_sim::metrics::{RunMetrics, RunSummary};
@@ -299,6 +302,65 @@ pub fn replicable_stage_indices() -> [usize; 2] {
 /// policies — the non-predictive algorithm uses it only for EQF deadline
 /// estimation, exactly as §4.1 prescribes).
 pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResult {
+    let mut cluster = scenario_cluster(cfg, adapt(cfg.pattern.build(cfg.workload)));
+    let (controller, sink) = controller_for(cfg, cfg.policy, predictor);
+    if let Some(c) = controller {
+        cluster.set_controller(c);
+    }
+    scenario_result(cfg.policy, run_cluster(cluster), sink)
+}
+
+/// Runs `cfg` once per policy in `policies` (its own `policy` field is
+/// ignored) and hands `each(i, result)` the result of `policies[i]` as
+/// soon as it is finished. Each result equals
+/// `run_scenario(&ScenarioConfig { policy: policies[i], ..cfg })`.
+///
+/// With two or more policies the runs are one group
+/// ([`ClusterApi::run_group`]): the simulation is shared up to the first
+/// period boundary at which the policies ask for different placements,
+/// and copied there. The pattern is evaluated once, in period order, into
+/// a table every copy reads. One policy is a plain [`run_scenario`].
+pub fn run_policies(
+    cfg: &ScenarioConfig,
+    policies: &[PolicySpec],
+    predictor: &Predictor,
+    mut each: impl FnMut(usize, ScenarioResult),
+) {
+    if let [policy] = policies {
+        let solo = ScenarioConfig {
+            policy: *policy,
+            ..cfg.clone()
+        };
+        return each(0, run_scenario(&solo, predictor));
+    }
+    let table = PatternTable::new(cfg.pattern.build(cfg.workload));
+    let mut cluster = scenario_cluster(cfg, table.reader());
+    let (controllers, mut sinks): (Vec<Box<dyn Controller>>, Vec<_>) = policies
+        .iter()
+        .map(|&policy| {
+            let (c, sink) = controller_for(cfg, policy, predictor);
+            (c.unwrap_or_else(|| Box::new(NullController)), sink)
+        })
+        .unzip();
+    if crate::perfmon::enabled() {
+        cluster.enable_perf(crate::perfmon::probe());
+    }
+    cluster
+        .run_group(controllers, &mut || vec![table.reader()], &mut |i, outcome| {
+            if let Some(p) = &outcome.perf {
+                crate::perfmon::record(p);
+            }
+            each(i, scenario_result(policies[i], outcome, sinks[i].take()));
+        })
+        .expect("every paper-cluster load generator forks");
+}
+
+/// A decision-audit sink shared between a manager and the harness.
+type DecisionSink = Arc<Mutex<BoundedSink<DecisionRecord>>>;
+
+/// The scenario's cluster, with `workload` driving its task and the
+/// trace and faults of `cfg` installed, but no controller.
+fn scenario_cluster(cfg: &ScenarioConfig, workload: WorkloadFn) -> Cluster {
     assert!(cfg.n_periods > 0, "empty scenario");
     assert!((0.0..1.0).contains(&cfg.ambient_util), "ambient must be in [0,1)");
     let mut cluster = paper_cluster(
@@ -314,44 +376,10 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
             c.bus.jam = cfg.faults.jam;
         },
     );
-    cluster.add_task(aaw_task(), adapt(cfg.pattern.build(cfg.workload)));
-
+    cluster.add_task(aaw_task(), workload);
     if let Some(capacity) = cfg.observe.trace_capacity {
         cluster.enable_trace(capacity);
     }
-    // The decision sink is shared: the manager (consumed by the cluster)
-    // records through one handle; this function drains the other after
-    // the run has dropped the manager.
-    let decision_sink = (cfg.observe.decisions && cfg.policy != PolicySpec::None).then(|| {
-        Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(
-            ObserveConfig::FULL_TRACE_CAPACITY,
-        )))
-    });
-
-    let arm_config = |mut c: ArmConfig| {
-        c.online_refinement = cfg.online_refinement;
-        c
-    };
-    let manager_for = |c: ArmConfig| {
-        let mut m = ResourceManager::new(arm_config(c), predictor.clone());
-        if let Some(sink) = &decision_sink {
-            m.set_decision_sink(Box::new(Arc::clone(sink)));
-        }
-        m
-    };
-    match cfg.policy {
-        PolicySpec::Predictive => {
-            cluster.set_controller(Box::new(manager_for(ArmConfig::paper_predictive())));
-        }
-        PolicySpec::NonPredictive => {
-            cluster.set_controller(Box::new(manager_for(ArmConfig::paper_nonpredictive())));
-        }
-        PolicySpec::Incremental => {
-            cluster.set_controller(Box::new(manager_for(ArmConfig::incremental())));
-        }
-        PolicySpec::None => {}
-    }
-
     for &(node, at_s) in &cfg.failures {
         cluster.fail_node_at(rtds_sim::ids::NodeId(node), SimTime::from_secs(at_s));
     }
@@ -362,15 +390,51 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
             restart_after_s.map(SimDuration::from_secs),
         );
     }
+    cluster
+}
 
-    let outcome = run_cluster(cluster);
+/// The manager running `policy` under `cfg` (`None` for
+/// [`PolicySpec::None`], which keeps the cluster's null controller),
+/// and its decision sink when `cfg` observes decisions. The manager
+/// records through one handle; [`scenario_result`] drains the other once
+/// the run has dropped the manager.
+fn controller_for(
+    cfg: &ScenarioConfig,
+    policy: PolicySpec,
+    predictor: &Predictor,
+) -> (Option<Box<dyn Controller>>, Option<DecisionSink>) {
+    let mut arm = match policy {
+        PolicySpec::Predictive => ArmConfig::paper_predictive(),
+        PolicySpec::NonPredictive => ArmConfig::paper_nonpredictive(),
+        PolicySpec::Incremental => ArmConfig::incremental(),
+        PolicySpec::None => return (None, None),
+    };
+    arm.online_refinement = cfg.online_refinement;
+    let mut manager = ResourceManager::new(arm, predictor.clone());
+    let sink = cfg.observe.decisions.then(|| {
+        let sink = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(
+            ObserveConfig::FULL_TRACE_CAPACITY,
+        )));
+        manager.set_decision_sink(Box::new(Arc::clone(&sink)));
+        sink
+    });
+    (Some(Box::new(manager)), sink)
+}
+
+/// Reduces a finished run of `policy` to the scenario result, draining
+/// its decision sink.
+fn scenario_result(
+    policy: PolicySpec,
+    outcome: RunOutcome,
+    sink: Option<DecisionSink>,
+) -> ScenarioResult {
     let summary = outcome
         .metrics
         .summarize(&replicable_stage_indices());
     let breakdown = combined_breakdown(&summary, 6);
-    // `run` consumed the cluster and with it the manager, so this is the
-    // last handle to the decision sink.
-    let decisions = decision_sink
+    // The run dropped the manager, so this is the last handle to the
+    // decision sink.
+    let decisions = sink
         .map(|sink| {
             Arc::try_unwrap(sink)
                 .map(|m| {
@@ -385,9 +449,43 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
         summary,
         breakdown,
         metrics: outcome.metrics,
-        policy: cfg.policy.name(),
+        policy: policy.name(),
         trace: outcome.trace,
         decisions,
+    }
+}
+
+/// A workload pattern evaluated once, in period order, into a table that
+/// every branch of a group run reads. Branches split mid-run, so each
+/// must continue the one sequence rather than restart a stateful pattern.
+struct PatternTable(Arc<Mutex<Evaluated>>);
+
+/// A pattern and its values so far, in period order.
+struct Evaluated {
+    pattern: Box<dyn Pattern>,
+    tracks: Vec<u64>,
+}
+
+impl PatternTable {
+    fn new(pattern: Box<dyn Pattern>) -> Self {
+        PatternTable(Arc::new(Mutex::new(Evaluated {
+            pattern,
+            tracks: Vec::new(),
+        })))
+    }
+
+    /// A workload function reading the table, extending it on demand.
+    fn reader(&self) -> WorkloadFn {
+        let table = Arc::clone(&self.0);
+        Box::new(move |period| {
+            let mut t = table.lock().unwrap_or_else(|e| e.into_inner());
+            while t.tracks.len() as u64 <= period {
+                let next = t.tracks.len() as u64;
+                let tracks = t.pattern.tracks_at(next);
+                t.tracks.push(tracks);
+            }
+            t.tracks[period as usize]
+        })
     }
 }
 
@@ -434,7 +532,7 @@ pub fn run_cluster(mut cluster: Cluster) -> RunOutcome {
     outcome
 }
 
-fn adapt(mut p: Box<dyn Pattern>) -> Box<dyn FnMut(u64) -> u64 + Send> {
+fn adapt(mut p: Box<dyn Pattern>) -> WorkloadFn {
     Box::new(move |period| p.tracks_at(period))
 }
 

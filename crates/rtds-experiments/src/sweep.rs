@@ -1,19 +1,24 @@
 //! Max-workload sweeps (the x-axis of Figs. 9–13).
 //!
 //! Each figure plots a metric against the experiment's **maximum
-//! workload** in scale units of 500 tracks, one independent simulation per
-//! point per policy. Points are embarrassingly parallel; the sweep fans
-//! them out over `std::thread::scope` workers pulling from an atomic
-//! work index, collects into a mutex-guarded vector, then restores
-//! deterministic order. Thread count never affects results — only
-//! `wall_ms` (measured wall-clock, excluded from golden comparisons)
-//! varies between runs.
+//! workload** in scale units of 500 tracks. Each grid point runs all of
+//! the sweep's policies as one group ([`run_policies`]): the policies see
+//! the same seed, pattern and ambient load, so their runs are identical
+//! up to the first period boundary at which they ask for different
+//! placements. The group simulates that common prefix once and copies the
+//! cluster there; every policy's result is still exactly its independent
+//! run. Grid points are embarrassingly parallel; the sweep fans them out
+//! over `std::thread::scope` workers pulling from an atomic work index,
+//! collects into a mutex-guarded vector, then restores deterministic
+//! order. Thread count never affects results — only `wall_ms` (measured
+//! wall-clock, excluded from golden comparisons) varies between runs.
 
 use std::sync::Mutex;
 
 use rtds_arm::predictor::Predictor;
 use crate::scenario::{
-    run_scenario, FaultPlan, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
+    run_policies, FaultPlan, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
+    ScenarioResult,
 };
 use rtds_workloads::WorkloadRange;
 
@@ -40,9 +45,11 @@ pub struct SweepPoint {
     pub combined: f64,
     /// Placement changes over the run.
     pub placement_changes: u64,
-    /// Wall-clock time this point's simulation took, in milliseconds.
-    /// Non-deterministic by nature: report it, but never fold it into
-    /// golden or cross-thread-count comparisons.
+    /// Wall-clock time this point's simulation took, in milliseconds: the
+    /// wall time of the grid point's group run split evenly over its
+    /// policies, so the points of a sweep sum to its simulation wall
+    /// time. Non-deterministic by nature: report it, but never fold it
+    /// into golden or cross-thread-count comparisons.
     pub wall_ms: f64,
 }
 
@@ -117,26 +124,21 @@ impl SweepConfig {
 /// swallows spawned-thread payloads — and then panic a second time on the
 /// poisoned results lock, burying the root cause.)
 pub fn run_sweep(cfg: &SweepConfig, predictor: &Predictor) -> Vec<SweepPoint> {
-    run_sweep_with(cfg, |units, policy| run_point(cfg, units, policy, predictor))
+    run_sweep_with(cfg, |units| run_point(cfg, units, predictor))
 }
 
-/// Sweep engine, parameterized over the per-point runner so tests can
-/// inject failures.
+/// Sweep engine, parameterized over the per-point runner (one grid point,
+/// every policy, in policy order) so tests can inject failures.
 fn run_sweep_with<F>(cfg: &SweepConfig, run: F) -> Vec<SweepPoint>
 where
-    F: Fn(u64, PolicySpec) -> SweepPoint + Sync,
+    F: Fn(u64) -> Vec<SweepPoint> + Sync,
 {
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     assert!(!cfg.units.is_empty() && !cfg.policies.is_empty(), "empty sweep");
-    let mut jobs: Vec<(usize, u64, PolicySpec)> = Vec::new();
-    for &u in &cfg.units {
-        for &p in &cfg.policies {
-            jobs.push((jobs.len(), u, p));
-        }
-    }
-    let results: Mutex<Vec<(usize, SweepPoint)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    let jobs = &cfg.units;
+    let results: Mutex<Vec<(usize, Vec<SweepPoint>)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
     let next = AtomicUsize::new(0);
@@ -152,16 +154,15 @@ where
                 if i >= jobs.len() {
                     break;
                 }
-                let (order, units, policy) = jobs[i];
                 // Catch the panic here rather than letting it unwind
                 // through the scope: we keep the original payload, and no
                 // lock is ever poisoned by an unwinding worker.
-                match std::panic::catch_unwind(AssertUnwindSafe(|| run(units, policy))) {
-                    Ok(point) => {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| run(jobs[i]))) {
+                    Ok(points) => {
                         results
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
-                            .push((order, point));
+                            .push((i, points));
                     }
                     Err(payload) => {
                         abort.store(true, Ordering::Relaxed);
@@ -182,19 +183,15 @@ where
 
     let mut out = results.into_inner().unwrap_or_else(|e| e.into_inner());
     out.sort_by_key(|(order, _)| *order);
-    out.into_iter().map(|(_, p)| p).collect()
+    out.into_iter().flat_map(|(_, p)| p).collect()
 }
 
-fn run_point(
-    cfg: &SweepConfig,
-    units: u64,
-    policy: PolicySpec,
-    predictor: &Predictor,
-) -> SweepPoint {
+/// Runs one grid point under every policy of the sweep, as one group.
+fn run_point(cfg: &SweepConfig, units: u64, predictor: &Predictor) -> Vec<SweepPoint> {
     let max_tracks = units * TRACKS_PER_UNIT;
     let scenario = ScenarioConfig {
         pattern: cfg.pattern,
-        policy,
+        policy: cfg.policies[0],
         workload: WorkloadRange::new(500.min(max_tracks), max_tracks),
         n_periods: cfg.n_periods,
         ambient_util: cfg.ambient_util,
@@ -207,8 +204,22 @@ fn run_point(
         bg_fast_path: cfg.bg_fast_path,
     };
     let started = std::time::Instant::now();
-    let r = run_scenario(&scenario, predictor);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let mut points: Vec<Option<SweepPoint>> = cfg.policies.iter().map(|_| None).collect();
+    run_policies(&scenario, &cfg.policies, predictor, |i, r| {
+        points[i] = Some(sweep_point(units, cfg.policies[i], &r));
+    });
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3 / points.len() as f64;
+    points
+        .into_iter()
+        .map(|p| SweepPoint {
+            wall_ms,
+            ..p.expect("every policy ran")
+        })
+        .collect()
+}
+
+/// The sweep fields of one policy's result; `wall_ms` is set by the caller.
+fn sweep_point(units: u64, policy: PolicySpec, r: &ScenarioResult) -> SweepPoint {
     SweepPoint {
         units,
         policy,
@@ -218,7 +229,7 @@ fn run_point(
         avg_replicas: r.summary.avg_replicas,
         combined: r.breakdown.combined,
         placement_changes: r.summary.placement_changes,
-        wall_ms,
+        wall_ms: 0.0,
     }
 }
 
@@ -359,21 +370,24 @@ mod tests {
         cfg.units = vec![2, 4, 6, 8];
         cfg.threads = 4;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sweep_with(&cfg, |units, policy| {
+            run_sweep_with(&cfg, |units| {
                 if units == 4 {
                     panic!("injected point failure at unit 4");
                 }
-                SweepPoint {
-                    units,
-                    policy,
-                    missed_pct: 0.0,
-                    cpu_pct: 0.0,
-                    net_pct: 0.0,
-                    avg_replicas: 1.0,
-                    combined: 0.0,
-                    placement_changes: 0,
-                    wall_ms: 1.0,
-                }
+                cfg.policies
+                    .iter()
+                    .map(|&policy| SweepPoint {
+                        units,
+                        policy,
+                        missed_pct: 0.0,
+                        cpu_pct: 0.0,
+                        net_pct: 0.0,
+                        avg_replicas: 1.0,
+                        combined: 0.0,
+                        placement_changes: 0,
+                        wall_ms: 1.0,
+                    })
+                    .collect()
             })
         }))
         .expect_err("sweep should re-raise the injected panic");

@@ -77,6 +77,7 @@ impl NodeClock {
 }
 
 /// Clock ensemble for all nodes in the cluster.
+#[derive(Clone)]
 pub struct ClockModel {
     config: ClockConfig,
     clocks: Vec<NodeClock>,

@@ -18,6 +18,14 @@
 //! The engine is deterministic: given the same [`ClusterConfig`] (including
 //! the seed), the same task specs, workload functions, and controller
 //! decisions, two runs produce identical event sequences and metrics.
+//!
+//! That is what [`ClusterApi::run_group`] builds on: one cluster driven
+//! by several controllers. Every controller still sharing the cluster
+//! sees the same observations at each control epoch; while their action
+//! lists agree the cluster runs once for all of them, and when they
+//! differ the state is copied once per distinct list before any is
+//! applied. Each member's outcome is the one its controller would get
+//! alone.
 
 use std::sync::Arc;
 
@@ -29,7 +37,7 @@ use crate::ids::{NodeId, StageId, SubtaskIdx, TaskId};
 use crate::kernel::{Ev, SimKernel};
 use crate::lane::{LaneRef, MAX_LANE_INDEX};
 use crate::load::LoadGenerator;
-use crate::metrics::{PeriodRecord, RunMetrics};
+use crate::metrics::{PeriodRecord, RunMetrics, SampleRows};
 use crate::net::BusConfig;
 use crate::perf::{PerfReport, PerfState};
 use crate::pipeline::{InstanceState, TaskSpec};
@@ -176,6 +184,60 @@ pub trait ClusterApi {
     fn run(self) -> RunOutcome
     where
         Self: Sized;
+
+    /// Runs the cluster once per controller in `controllers` (the
+    /// installed controller is ignored), sharing the simulation while
+    /// their decisions agree. At each control epoch every controller
+    /// still sharing the cluster gets the same observations and context;
+    /// members whose action lists are equal keep sharing, and a split
+    /// copies the cluster once per distinct list before the actions are
+    /// applied. A copy takes every generator's [`LoadGenerator::fork`]
+    /// and one fresh set of workload functions from `workloads`, which
+    /// must continue the sequences the added ones produce (for instance
+    /// by reading one shared table).
+    ///
+    /// Members run one after another; `each(i, outcome)` receives the
+    /// outcome of `controllers[i]` as soon as it is finished, after that
+    /// controller was dropped. The outcome equals what [`Self::run`]
+    /// returns with that controller alone, except that work shared by
+    /// several members is counted once: in the first of them, the others
+    /// get an empty perf report. One controller is a plain [`Self::run`]:
+    /// no comparison, no copy, and `workloads` is never called.
+    ///
+    /// # Errors
+    /// Returns an error, before anything runs, if `controllers` is empty
+    /// or, with two or more, if a load generator cannot fork.
+    fn run_group(
+        self,
+        controllers: Vec<Box<dyn Controller>>,
+        workloads: &mut dyn FnMut() -> Vec<WorkloadFn>,
+        each: &mut dyn FnMut(usize, RunOutcome),
+    ) -> Result<(), String>
+    where
+        Self: Sized;
+}
+
+/// One controller driving a cluster, with its position in the group.
+struct Member {
+    /// Index of the controller in the group (0 in a plain run).
+    index: usize,
+    /// The resource-management policy.
+    controller: Box<dyn Controller>,
+}
+
+/// A branch split off a group run, waiting to run: its copy of the
+/// cluster, paused inside the period release where the split happened.
+struct Fork {
+    /// The copy, whose members chose `actions`.
+    cluster: Cluster,
+    /// Release time of the interrupted period.
+    now: SimTime,
+    /// Task of the interrupted period.
+    task: TaskId,
+    /// Instance number of the interrupted period.
+    index: u64,
+    /// The branch's actions, not yet applied.
+    actions: Vec<ControlAction>,
 }
 
 /// The simulated distributed system: kernel + engines + controller.
@@ -192,8 +254,12 @@ pub struct Cluster {
     load: LoadEngine,
     /// Task runtimes, instances, period bookkeeping.
     tasks: TaskTable,
-    /// The resource-management policy under test.
-    controller: Box<dyn Controller>,
+    /// The resource-management policies driving this state: the one
+    /// policy under test, or every member of a group run still sharing
+    /// the cluster.
+    members: Vec<Member>,
+    /// Branches this state split off during a group run, not yet run.
+    forks: Vec<Fork>,
     /// Reusable controller snapshot: static fields are built once, dynamic
     /// fields are refreshed in place each control epoch.
     ctx_scratch: Option<ControlContext>,
@@ -226,7 +292,29 @@ impl Cluster {
             fault: FaultEngine,
             load: LoadEngine::default(),
             tasks: TaskTable::default(),
-            controller: Box::new(crate::control::NullController),
+            members: vec![Member {
+                index: 0,
+                controller: Box::new(crate::control::NullController),
+            }],
+            forks: Vec::new(),
+            ctx_scratch: None,
+            obs_scratch: Vec::new(),
+        }
+    }
+
+    /// A copy of the simulation state for the branch of a group run that
+    /// `members` continue. The workload functions are installed by the
+    /// caller; the scratch buffers start empty.
+    fn fork(&self, members: Vec<Member>) -> Cluster {
+        Cluster {
+            kernel: self.kernel.fork(),
+            dispatch: self.dispatch.clone(),
+            net: self.net.clone(),
+            fault: self.fault.clone(),
+            load: self.load.fork(),
+            tasks: self.tasks.fork(),
+            members,
+            forks: Vec::new(),
             ctx_scratch: None,
             obs_scratch: Vec::new(),
         }
@@ -237,6 +325,19 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn run_to_horizon(&mut self) {
+        self.seed_events();
+        if let Some(p) = self.kernel.perf.as_mut() {
+            p.run_started = Some(std::time::Instant::now());
+        }
+        self.run_loop();
+    }
+
+    /// Schedules the initial event population and reserves the sample
+    /// table.
+    fn seed_events(&mut self) {
+        let k = &mut self.kernel;
+        let rows = k.config.horizon.as_micros() / k.config.sample_interval.as_micros();
+        k.metrics.cpu_samples = SampleRows::with_capacity(k.config.n_nodes, rows as usize);
         // Seed the initial event population in one reserved burst.
         self.kernel
             .queue
@@ -271,11 +372,11 @@ impl Cluster {
             SimTime::ZERO + self.kernel.config.clock.sync_interval,
             Ev::ClockSync,
         );
+    }
 
+    /// The event loop: runs to the horizon and finalizes the metrics.
+    fn run_loop(&mut self) {
         let horizon = self.kernel.horizon();
-        if let Some(p) = self.kernel.perf.as_mut() {
-            p.run_started = Some(std::time::Instant::now());
-        }
         // The queue's min key is re-read only when the queue has actually
         // changed (its version ticks on every schedule/pop/cancel); long
         // lane-only stretches — background-heavy phases — skip the heap
@@ -449,8 +550,13 @@ impl Cluster {
 
     fn on_period_release(&mut self, now: SimTime, task: TaskId, index: u64) {
         // 1. Let the controller react to everything that completed.
-        self.run_controller(now);
+        let actions = self.run_controller(now, task, index);
+        self.apply_actions(now, actions);
+        self.release(now, task, index);
+    }
 
+    /// Steps 2–5 of a period release, after the control epoch.
+    fn release(&mut self, now: SimTime, task: TaskId, index: u64) {
         // 2. Draw this period's workload.
         let tracks = (self.tasks.workloads[task.index()])(index);
         self.tasks.tasks[task.index()].last_tracks = tracks;
@@ -532,13 +638,12 @@ impl Cluster {
     }
 
     fn on_sample(&mut self, now: SimTime) {
-        let row: Vec<f64> = self
-            .dispatch
-            .nodes
-            .iter_mut()
-            .map(|n| n.sample_utilization(now))
-            .collect();
-        self.kernel.metrics.cpu_samples.push(row);
+        self.kernel.metrics.cpu_samples.push_row(
+            self.dispatch
+                .nodes
+                .iter_mut()
+                .map(|n| n.sample_utilization(now)),
+        );
         let bus_busy = self.net.bus.busy_total(now);
         let interval = now.saturating_since(self.net.sampled_at);
         if !interval.is_zero() {
@@ -554,7 +659,10 @@ impl Cluster {
         }
     }
 
-    fn run_controller(&mut self, now: SimTime) {
+    /// The control epoch of the release of `(task, index)`: asks every
+    /// member for its actions and returns those of the members this state
+    /// continues with, after splitting off the others.
+    fn run_controller(&mut self, now: SimTime, task: TaskId, index: u64) -> Vec<ControlAction> {
         // Swap the pending observations out through the retired scratch
         // buffer: both vectors keep their capacity across control epochs.
         let mut obs = std::mem::take(&mut self.obs_scratch);
@@ -596,12 +704,30 @@ impl Cluster {
         ctx.last_tracks
             .extend(self.tasks.tasks.iter().map(|t| t.last_tracks));
 
-        let actions = match self.kernel.perf.as_ref().map(|p| p.alloc_probe) {
-            None => self.controller.on_period_boundary(&obs, &ctx),
+        let actions = if self.members.len() == 1 {
+            self.ask(0, &obs, &ctx)
+        } else {
+            self.group_epoch(now, task, index, &obs, &ctx)
+        };
+        self.ctx_scratch = Some(ctx);
+        self.obs_scratch = obs;
+        actions
+    }
+
+    /// One member's controller call, timed when perf is enabled.
+    fn ask(
+        &mut self,
+        member: usize,
+        obs: &[PeriodObservation],
+        ctx: &ControlContext,
+    ) -> Vec<ControlAction> {
+        let controller = &mut self.members[member].controller;
+        match self.kernel.perf.as_ref().map(|p| p.alloc_probe) {
+            None => controller.on_period_boundary(obs, ctx),
             Some(probe) => {
                 let alloc0 = probe.map(|f| f());
                 let t0 = std::time::Instant::now();
-                let actions = self.controller.on_period_boundary(&obs, &ctx);
+                let actions = controller.on_period_boundary(obs, ctx);
                 let dt = t0.elapsed().as_nanos() as u64;
                 if let Some(p) = self.kernel.perf.as_mut() {
                     p.report.control_epochs += 1;
@@ -612,7 +738,59 @@ impl Cluster {
                 }
                 actions
             }
-        };
+        }
+    }
+
+    /// The control epoch of two or more members sharing this state. Each
+    /// distinct action list after the first gets a copy of the state,
+    /// taken before any action is applied, and the members that chose it;
+    /// this state keeps the members that chose the first list.
+    fn group_epoch(
+        &mut self,
+        now: SimTime,
+        task: TaskId,
+        index: u64,
+        obs: &[PeriodObservation],
+        ctx: &ControlContext,
+    ) -> Vec<ControlAction> {
+        let mut lists: Vec<Vec<ControlAction>> =
+            (0..self.members.len()).map(|m| self.ask(m, obs, ctx)).collect();
+        // `class[m]`: position, among the distinct lists in member order,
+        // of member `m`'s list; `firsts[c]`: the first member choosing it.
+        let mut firsts: Vec<usize> = Vec::new();
+        let class: Vec<usize> = (0..lists.len())
+            .map(|m| {
+                firsts
+                    .iter()
+                    .position(|&f| lists[f] == lists[m])
+                    .unwrap_or_else(|| {
+                        firsts.push(m);
+                        firsts.len() - 1
+                    })
+            })
+            .collect();
+        if let Some(p) = self.kernel.perf.as_mut() {
+            p.report.shared_epochs += 1;
+            p.report.forks += firsts.len() as u64 - 1;
+        }
+        if firsts.len() > 1 {
+            let mut branches: Vec<Vec<Member>> = firsts.iter().map(|_| Vec::new()).collect();
+            for (m, &c) in std::mem::take(&mut self.members).into_iter().zip(&class) {
+                branches[c].push(m);
+            }
+            let mut branches = branches.into_iter();
+            self.members = branches.next().expect("at least one branch");
+            for (members, &first) in branches.zip(&firsts[1..]) {
+                let cluster = self.fork(members);
+                let actions = std::mem::take(&mut lists[first]);
+                self.forks.push(Fork { cluster, now, task, index, actions });
+            }
+        }
+        lists.swap_remove(firsts[0])
+    }
+
+    /// Applies a control epoch's actions.
+    fn apply_actions(&mut self, now: SimTime, actions: Vec<ControlAction>) {
         for a in actions {
             match a {
                 ControlAction::SetPlacement { task, subtask, nodes } => {
@@ -646,13 +824,67 @@ impl Cluster {
                 }
             }
         }
-        self.ctx_scratch = Some(ctx);
-        self.obs_scratch = obs;
+    }
+
+    /// Continues a fork from the period release where it split off: its
+    /// actions are applied, the release completes, and the run goes on to
+    /// the horizon.
+    fn resume(&mut self, now: SimTime, task: TaskId, index: u64, actions: Vec<ControlAction>) {
+        if let Some(p) = self.kernel.perf.as_mut() {
+            p.run_started = Some(std::time::Instant::now());
+        }
+        self.apply_actions(now, actions);
+        self.release(now, task, index);
+        self.run_loop();
+    }
+
+    /// Hands each member its outcome, in member order, dropping its
+    /// controller first: the finalized metrics with the member's own
+    /// forecast residuals, the trace, and the perf report. Only the first
+    /// member gets the report; the others shared its work and get an
+    /// empty one.
+    fn deliver(mut self, each: &mut dyn FnMut(usize, RunOutcome)) {
+        let mut perf = self.kernel.perf.take().map(|mut p| {
+            p.report.queue = self.kernel.queue.stats();
+            p.report.lanes = self.kernel.lanes.stats();
+            p.report.wall_ns = p
+                .run_started
+                .map(|s| s.elapsed().as_nanos() as u64)
+                .unwrap_or(0);
+            p.report
+        });
+        let shared = perf.as_ref().map(|p| PerfReport {
+            epoch_allocs: p.epoch_allocs.map(|_| 0),
+            ..PerfReport::default()
+        });
+        let members = std::mem::take(&mut self.members);
+        let n = members.len();
+        for (k, Member { index, controller }) in members.into_iter().enumerate() {
+            let last = k + 1 == n;
+            let mut metrics = if last {
+                std::mem::take(&mut self.kernel.metrics)
+            } else {
+                self.kernel.metrics.clone()
+            };
+            metrics.forecast_residuals = controller.forecast_residuals();
+            let trace = if last {
+                self.kernel.trace.take()
+            } else {
+                self.kernel.trace.clone()
+            };
+            let outcome = RunOutcome {
+                metrics,
+                controller: controller.name(),
+                trace,
+                perf: perf.take().or_else(|| shared.clone()),
+            };
+            drop(controller);
+            each(index, outcome);
+        }
     }
 
     fn finalize(&mut self, horizon: SimTime) {
         self.kernel.metrics.horizon = horizon.since(SimTime::ZERO);
-        self.kernel.metrics.forecast_residuals = self.controller.forecast_residuals();
         self.kernel.metrics.cpu_lifetime_util = self
             .dispatch
             .nodes
@@ -711,7 +943,7 @@ impl ClusterApi for Cluster {
     }
 
     fn set_controller(&mut self, controller: Box<dyn Controller>) {
-        self.controller = controller;
+        self.members = vec![Member { index: 0, controller }];
     }
 
     fn enable_trace(&mut self, capacity: usize) {
@@ -749,24 +981,55 @@ impl ClusterApi for Cluster {
 
     fn run(mut self) -> RunOutcome {
         self.run_to_horizon();
-        let perf = self.kernel.perf.take().map(|mut p| {
-            p.report.queue = self.kernel.queue.stats();
-            p.report.lanes = self.kernel.lanes.stats();
-            p.report.wall_ns = p
-                .run_started
-                .map(|s| s.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
-            p.report
-        });
-        RunOutcome {
-            metrics: self.kernel.metrics,
-            controller: self.controller.name(),
-            trace: self.kernel.trace,
-            perf,
+        let mut outcome = None;
+        self.deliver(&mut |_, o| outcome = Some(o));
+        outcome.expect("a plain run has one member")
+    }
+
+    fn run_group(
+        mut self,
+        controllers: Vec<Box<dyn Controller>>,
+        workloads: &mut dyn FnMut() -> Vec<WorkloadFn>,
+        each: &mut dyn FnMut(usize, RunOutcome),
+    ) -> Result<(), String> {
+        if controllers.is_empty() {
+            return Err("a group run needs at least one controller".into());
         }
+        if controllers.len() > 1 {
+            if let Some(g) = self.load.gens.iter().position(|g| g.fork().is_none()) {
+                return Err(format!(
+                    "load generator {g} cannot fork, so a group of {} cannot split",
+                    controllers.len()
+                ));
+            }
+        }
+        self.members = controllers
+            .into_iter()
+            .enumerate()
+            .map(|(index, controller)| Member { index, controller })
+            .collect();
+        self.run_to_horizon();
+        let mut pending = std::mem::take(&mut self.forks);
+        self.deliver(each);
+        while let Some(Fork { mut cluster, now, task, index, actions }) = pending.pop() {
+            cluster.tasks.workloads = workloads();
+            assert_eq!(
+                cluster.tasks.workloads.len(),
+                cluster.tasks.tasks.len(),
+                "a fork needs one workload per task"
+            );
+            cluster.resume(now, task, index, actions);
+            pending.append(&mut cluster.forks);
+            cluster.deliver(each);
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 #[path = "cluster_tests.rs"]
 mod tests;
+
+#[cfg(test)]
+#[path = "group_tests.rs"]
+mod group_tests;

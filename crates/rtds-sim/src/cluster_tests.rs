@@ -665,8 +665,8 @@ fn failure_realism_runs_are_deterministic() {
 /// Mean of node `n`'s sampled utilization over sample rows
 /// `[from, to)` (rows land every 100 ms).
 fn mean_util(out: &RunOutcome, node: usize, from: usize, to: usize) -> f64 {
-    let rows = &out.metrics.cpu_samples[from..to];
-    rows.iter().map(|r| r[node]).sum::<f64>() / rows.len() as f64
+    let samples = &out.metrics.cpu_samples;
+    (from..to).map(|k| samples.row(k)[node]).sum::<f64>() / (to - from) as f64
 }
 
 #[test]

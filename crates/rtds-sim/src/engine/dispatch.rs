@@ -74,6 +74,7 @@ impl DispatchLane {
 }
 
 /// CPU-side state and behavior: nodes, the job slab, and elided dispatch.
+#[derive(Clone)]
 pub(crate) struct DispatchEngine {
     /// The processor nodes.
     pub nodes: Vec<Node>,

@@ -22,7 +22,7 @@ use crate::trace::TraceEvent;
 /// The one node-death code path, plus crash teardown and restart re-arm.
 /// Stateless: everything it tears down or re-arms lives in the other
 /// engines, which keeps "what dies with a node" auditable in one place.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct FaultEngine;
 
 impl FaultEngine {

@@ -40,6 +40,23 @@ pub(crate) struct LoadEngine {
 }
 
 impl LoadEngine {
+    /// A copy for one branch of a split group run: every generator
+    /// forked in its current state, the poll lanes copied.
+    ///
+    /// # Panics
+    /// Panics if a generator cannot fork; group runs check that before
+    /// the run starts.
+    pub fn fork(&self) -> Self {
+        LoadEngine {
+            gens: self
+                .gens
+                .iter()
+                .map(|g| g.fork().expect("generators were checked forkable"))
+                .collect(),
+            polls: self.polls.clone(),
+        }
+    }
+
     /// Slow-path poll (real `BgPoll` heap event): admit the arrival and
     /// reschedule.
     pub fn on_bg_poll(

@@ -38,6 +38,7 @@ pub(crate) struct RetxState {
 
 /// Bus-side state and behavior: the wire, in-flight messages, and the
 /// retransmit/dedup machinery.
+#[derive(Clone)]
 pub(crate) struct NetEngine {
     /// The shared Ethernet segment.
     pub bus: SharedBus,

@@ -36,6 +36,18 @@ pub(crate) struct TaskTable {
 }
 
 impl TaskTable {
+    /// A copy for one branch of a split group run, without workloads:
+    /// the group run installs a fresh set that continues the originals'
+    /// sequences.
+    pub fn fork(&self) -> Self {
+        TaskTable {
+            tasks: self.tasks.clone(),
+            workloads: Vec::new(),
+            pending_obs: self.pending_obs.clone(),
+            record_idx: self.record_idx.clone(),
+        }
+    }
+
     /// True when some copy of `origin` already reached its stage replica.
     /// A redundant retransmission (the retx timer fired while the original
     /// was still queued) can then be lost or dropped harmlessly: the data

@@ -43,6 +43,7 @@ pub struct QueueStats {
     pub heap_high_water: usize,
 }
 
+#[derive(Clone)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -92,6 +93,7 @@ struct Slot {
 const COMPACT_MIN_HEAP: usize = 64;
 
 /// Deterministic event queue with cancellation support.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
@@ -370,6 +372,16 @@ impl<E> EventQueue<E> {
     /// Operation counters since construction.
     pub fn stats(&self) -> QueueStats {
         self.stats
+    }
+
+    /// Zeroes the operation counters, keeping the current heap
+    /// population as the high-water mark: a copy of the queue then counts
+    /// only its own operations.
+    pub fn reset_stats(&mut self) {
+        self.stats = QueueStats {
+            heap_high_water: self.heap.len(),
+            ..QueueStats::default()
+        };
     }
 }
 

@@ -31,6 +31,7 @@ use crate::trace::{TraceEvent, TraceSink};
 
 /// Events driving the simulation. Owned by the kernel (the queue is typed
 /// over it); each variant is handled by the engine that owns its domain.
+#[derive(Clone)]
 pub(crate) enum Ev {
     /// A new period of a task begins (data arrival).
     PeriodRelease {
@@ -157,6 +158,33 @@ impl SimKernel {
             trace: None,
             perf: None,
             metrics: RunMetrics::default(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// A copy of the kernel for one branch of a split group run: same
+    /// queue, clocks, RNG position, lanes, metrics and trace. The copy's
+    /// queue and lane counters and its perf report start from zero, so
+    /// perf totals over a group count shared work once; the scratch
+    /// buffers start empty.
+    pub(crate) fn fork(&self) -> Self {
+        let mut queue = self.queue.clone();
+        queue.reset_stats();
+        let mut lanes = self.lanes.clone();
+        lanes.reset_stats();
+        SimKernel {
+            config: self.config.clone(),
+            queue,
+            clocks: self.clocks.clone(),
+            rng: self.rng.clone(),
+            lanes,
+            trace: self.trace.clone(),
+            perf: self.perf.as_ref().map(|p| {
+                let mut fresh = PerfState::new(p.alloc_probe);
+                fresh.report.epoch_allocs = p.alloc_probe.map(|_| 0);
+                Box::new(fresh)
+            }),
+            metrics: self.metrics.clone(),
             scratch: Scratch::default(),
         }
     }

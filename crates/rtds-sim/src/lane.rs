@@ -103,7 +103,7 @@ fn unpack(key: u128) -> (SimTime, u64, LaneRef) {
 
 /// Min-heap of lane keys with lazy invalidation and in-place firing (see
 /// module docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct LaneHeap {
     heap: BinaryHeap<Reverse<u128>>,
     /// The packed key of the top entry while its lane fires.
@@ -196,6 +196,12 @@ impl LaneHeap {
     #[inline]
     pub fn stats(&self) -> LaneStats {
         self.stats
+    }
+
+    /// Zeroes the operation counters, so a copy of the heap counts only
+    /// its own operations.
+    pub fn reset_stats(&mut self) {
+        self.stats = LaneStats::default();
     }
 
     /// Number of entries, counting stale ones.

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::ids::{JobId, LoadGenId, MsgId, NodeId, StageId, SubtaskIdx, TaskId};
     pub use crate::load::{LoadGenerator, PeriodicLoad, PoissonLoad};
     pub use crate::metrics::{
-        ForecastResidualStat, PeriodRecord, ResidualKind, RunMetrics, RunSummary,
+        ForecastResidualStat, PeriodRecord, ResidualKind, RunMetrics, RunSummary, SampleRows,
     };
     pub use crate::net::{BusConfig, SharedBus};
     pub use crate::perf::PerfReport;

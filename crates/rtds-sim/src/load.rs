@@ -58,12 +58,23 @@ pub trait LoadGenerator: Send {
         }
         Ok(())
     }
+
+    /// An independent copy of this generator in its current state, for a
+    /// group run that splits the cluster (`ClusterApi::run_group`): the
+    /// copy must produce exactly the arrivals the original would from
+    /// here on. The default, `None`, marks a generator that cannot be
+    /// copied; a group run of two or more controllers rejects it before
+    /// the run starts.
+    fn fork(&self) -> Option<Box<dyn LoadGenerator>> {
+        None
+    }
 }
 
 /// Deterministic duty-cycle load: every `interval`, a job of demand
 /// `utilization × interval` arrives. With a round-robin scheduler this
 /// produces smooth, predictable contention — the configuration used when
 /// profiling at a controlled utilization.
+#[derive(Debug, Clone)]
 pub struct PeriodicLoad {
     id: LoadGenId,
     node: NodeId,
@@ -142,11 +153,16 @@ impl LoadGenerator for PeriodicLoad {
         }
         Ok(())
     }
+
+    fn fork(&self) -> Option<Box<dyn LoadGenerator>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// Poisson load: exponential inter-arrivals with exponential demands. This
 /// is the "asynchronous" ambient load for evaluation runs — event arrivals
 /// with nondeterministic distributions (paper §1).
+#[derive(Debug, Clone)]
 pub struct PoissonLoad {
     id: LoadGenId,
     node: NodeId,
@@ -232,6 +248,10 @@ impl LoadGenerator for PoissonLoad {
             ));
         }
         Ok(())
+    }
+
+    fn fork(&self) -> Option<Box<dyn LoadGenerator>> {
+        Some(Box::new(self.clone()))
     }
 }
 

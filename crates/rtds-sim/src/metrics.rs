@@ -142,8 +142,9 @@ impl ForecastResidualStat {
 pub struct RunMetrics {
     /// Period records, one per released instance per task, in release order.
     pub periods: Vec<PeriodRecord>,
-    /// Raw per-interval CPU utilization samples: `samples[k][node]`.
-    pub cpu_samples: Vec<Vec<f64>>,
+    /// Raw per-interval CPU utilization samples, one row per sampling
+    /// tick and one column per node: `cpu_samples.row(k)[node]`.
+    pub cpu_samples: SampleRows,
     /// Raw per-interval network utilization samples.
     pub net_samples: Vec<f64>,
     /// Lifetime-average CPU utilization per node, `[0, 1]`, filled at
@@ -182,6 +183,72 @@ pub struct RunMetrics {
     /// reported by the controller at finalization; empty for policies
     /// that never forecast.
     pub forecast_residuals: Vec<ForecastResidualStat>,
+}
+
+/// A row-major table of per-node samples: one row per sampling tick, one
+/// column per node, stored in one flat vector. A clone keeps the reserved
+/// capacity, so a copy taken mid-run grows without reallocating.
+#[derive(Debug, Default)]
+#[derive(serde::Serialize, serde::Deserialize)]
+pub struct SampleRows {
+    /// Values per row (the node count).
+    width: usize,
+    /// The rows, concatenated.
+    values: Vec<f64>,
+}
+
+impl Clone for SampleRows {
+    fn clone(&self) -> Self {
+        let mut values = Vec::with_capacity(self.values.capacity());
+        values.extend_from_slice(&self.values);
+        SampleRows {
+            width: self.width,
+            values,
+        }
+    }
+}
+
+impl SampleRows {
+    /// An empty table of `width`-value rows with room for `rows` rows.
+    pub fn with_capacity(width: usize, rows: usize) -> Self {
+        SampleRows {
+            width,
+            values: Vec::with_capacity(width * rows),
+        }
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    /// Panics if the row does not hold exactly `width` values.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = f64>) {
+        let before = self.values.len();
+        self.values.extend(row);
+        assert_eq!(self.values.len() - before, self.width, "sample row width");
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.values.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// True when no row was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Row `k`.
+    ///
+    /// # Panics
+    /// Panics if `k >= self.len()`.
+    pub fn row(&self, k: usize) -> &[f64] {
+        &self.values[k * self.width..(k + 1) * self.width]
+    }
+
+    /// The rows in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
+        self.values.chunks_exact(self.width.max(1))
+    }
 }
 
 /// Aggregate summary over a run — the four per-figure metrics.
@@ -351,6 +418,27 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_rows_are_stored_flat_and_clones_keep_their_reserve() {
+        let mut s = SampleRows::with_capacity(3, 4);
+        assert!(s.is_empty());
+        s.push_row([0.1, 0.2, 0.3]);
+        s.push_row([0.4, 0.5, 0.6]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.row(1), &[0.4, 0.5, 0.6]);
+        assert_eq!(s.rows().collect::<Vec<_>>(), vec![&[0.1, 0.2, 0.3][..], &[0.4, 0.5, 0.6]]);
+        let copy = s.clone();
+        assert_eq!(copy.values, s.values);
+        assert!(copy.values.capacity() >= 12, "a copy taken mid-run keeps the reserve");
+        assert_eq!(SampleRows::default().rows().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample row width")]
+    fn sample_rows_reject_a_short_row() {
+        SampleRows::with_capacity(3, 1).push_row([0.1, 0.2]);
+    }
 
     fn record(missed: Option<bool>, replicas: Vec<u32>) -> PeriodRecord {
         PeriodRecord {

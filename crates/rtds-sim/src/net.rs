@@ -314,6 +314,7 @@ impl BusConfig {
 }
 
 /// The shared Ethernet segment.
+#[derive(Clone)]
 pub struct SharedBus {
     config: BusConfig,
     /// Messages waiting for the medium, FIFO.

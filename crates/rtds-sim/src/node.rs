@@ -30,6 +30,7 @@ pub struct Running {
 }
 
 /// One processor.
+#[derive(Clone)]
 pub struct Node {
     /// This node's id.
     pub id: NodeId,

@@ -84,6 +84,12 @@ pub struct PerfReport {
     pub epoch_allocs: Option<u64>,
     /// Total wall nanoseconds of the run loop.
     pub wall_ns: u64,
+    /// Copies of the cluster made where the members of a group run
+    /// (`ClusterApi::run_group`) first chose different actions.
+    pub forks: u64,
+    /// Control epochs at which two or more members of a group run still
+    /// shared the cluster: simulated once, asked of each member.
+    pub shared_epochs: u64,
 }
 
 impl PerfReport {
@@ -137,6 +143,8 @@ impl PerfReport {
                 },
             epoch_allocs,
             wall_ns,
+            forks,
+            shared_epochs,
         } = other;
         for (acc, x) in self.events.iter_mut().zip(events) {
             *acc += x;
@@ -162,6 +170,8 @@ impl PerfReport {
             *self.epoch_allocs.get_or_insert(0) += a;
         }
         self.wall_ns += wall_ns;
+        self.forks += forks;
+        self.shared_epochs += shared_epochs;
     }
 
     /// Renders an aligned, human-readable table.
@@ -238,6 +248,13 @@ impl PerfReport {
         if let Some(a) = self.allocs_per_epoch() {
             let _ = write!(out, " allocs/epoch={a:.1}");
         }
+        if self.shared_epochs > 0 {
+            let _ = write!(
+                out,
+                "\n  group: shared_epochs={} forks={} (shared work counted once)",
+                self.shared_epochs, self.forks
+            );
+        }
         out.push('\n');
         out
     }
@@ -290,6 +307,8 @@ mod tests {
             },
             epoch_allocs: Some(16 * k),
             wall_ns: 17 * k,
+            forks: 18 * k,
+            shared_epochs: 19 * k,
         };
         let mut a = report(1);
         a.merge(&report(2));
@@ -318,6 +337,11 @@ mod tests {
         assert!(s.contains("dispatch"));
         assert!(!s.contains("bg_poll"), "inactive phase hidden:\n{s}");
         assert!(s.contains("queue:"));
+        assert!(!s.contains("group:"), "no group line for a plain run:\n{s}");
+        r.shared_epochs = 7;
+        r.forks = 1;
+        let s = r.render();
+        assert!(s.contains("group: shared_epochs=7 forks=1"), "{s}");
     }
 
     #[test]

@@ -287,6 +287,7 @@ impl InstanceState {
 
 /// Run-time state of a periodic task: spec, current placement, in-flight
 /// instances.
+#[derive(Clone)]
 pub struct TaskRuntime {
     /// The static description.
     pub spec: TaskSpec,

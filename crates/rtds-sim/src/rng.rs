@@ -15,6 +15,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A deterministic RNG stream.
+#[derive(Clone)]
 pub struct SimRng {
     inner: ChaCha8Rng,
 }

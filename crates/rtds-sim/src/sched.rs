@@ -74,6 +74,7 @@ impl SchedulerKind {
 /// (lone-job quantum chains, the background-load fast path) on that
 /// guarantee: replaying the same calls reproduces the same picks, which
 /// byte-identical fast/slow execution and `tests/golden/` depend on.
+#[derive(Clone)]
 pub struct ReadyQueue {
     /// Ready jobs per priority level, each in service order. Round-robin
     /// and FIFO use level 0 only.

@@ -82,7 +82,7 @@ fn utilizations_are_fractions() {
         assert!((0.0..=1.0).contains(&u), "node {n} utilization {u}");
     }
     assert!((0.0..=1.0).contains(&out.metrics.net_lifetime_util));
-    for row in &out.metrics.cpu_samples {
+    for row in out.metrics.cpu_samples.rows() {
         for &u in row {
             assert!((0.0..=1.000001).contains(&u), "sample {u}");
         }
